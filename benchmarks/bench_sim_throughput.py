@@ -112,9 +112,10 @@ def test_backend_throughput():
     exact* — the full Stats dataclass, not just the headline count,
     equals the cycle backend's — and the scalar-heavy workload (the
     fast path's design target) must clear a 10x throughput bar.  The
-    mixed and multithreaded rows are reported for honesty: their cost
-    is genuine numpy datapath work and co-simulation, so the speedup
-    is real but smaller.
+    mixed and multithreaded rows are reported for honesty: the mixed
+    row's cost is genuine numpy datapath work, and the multithreaded
+    (spawning) program runs on the cycle core under both backends, so
+    those speedups are real but smaller.
     """
     workloads = []
     for name, source, pes, threads in (
@@ -149,7 +150,7 @@ def test_backend_throughput():
     exp.finding(
         "fast backend is cycle-exact on every workload; scalar-heavy "
         f"speedup {speedups['scalar_heavy'][1]:.1f}x, mixed "
-        f"{speedups['mixed_parallel'][1]:.1f}x, multithreaded co-sim "
+        f"{speedups['mixed_parallel'][1]:.1f}x, multithreaded (cycle core) "
         f"{speedups['reduction_storm_mt'][1]:.1f}x")
     exp.report()
 

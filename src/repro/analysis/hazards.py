@@ -114,7 +114,7 @@ class _Score:
 
 
 class _Replay:
-    """The static mirror of ``Processor._ready_cycle`` / ``_issue``.
+    """The static mirror of ``Processor._readiness`` / ``_issue``.
 
     Keeps the check order of the core (sources in operand order, then
     WAW, then structural) so stall *attribution* matches the

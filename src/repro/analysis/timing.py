@@ -56,12 +56,22 @@ from typing import TYPE_CHECKING
 from repro.analysis.cfg import CFG, build_cfg
 from repro.asm.program import Program
 from repro.core import stats as st
-from repro.core import timing as coretiming
-from repro.core.config import DividerKind, MultiplierKind, ProcessorConfig
+from repro.core.config import ProcessorConfig
 from repro.core.processor import SimTimeout, SimulationError
 from repro.core.stats import Stats
-from repro.isa.opcodes import OPCODES, ExecClass, OpSpec
-from repro.pe.seq_units import sequential_div_latency, sequential_mul_latency
+from repro.core.timing import (
+    K_BRANCH,
+    K_HALT,
+    K_JR,
+    K_JUMP,
+    K_TEXIT,
+    K_TJOIN,
+    K_TPUT,
+    K_TSPAWN,
+    RAW_CAUSE,
+    InstrTiming,
+    TimingModel,
+)
 
 if TYPE_CHECKING:
     from repro.analysis.lint import AnalysisContext, Diagnostic
@@ -71,201 +81,27 @@ __all__ = [
     "EMPTY_STATE",
     "InstrTiming",
     "PipelineState",
-    "RAW_CAUSE",
     "TimingAnalysis",
     "TimingModel",
-    "UNIT_NAMES",
     "check_static_timing_bound",
     "check_unreachable_block",
 ]
-
-# Instruction kinds, for event decoding during the fold.  Everything not
-# listed behaves as K_PLAIN (including tget, whose delivery read needs no
-# special timing treatment).
-K_PLAIN = 0
-K_BRANCH = 1
-K_JUMP = 2          # j / jal: static target
-K_JR = 3            # indirect: target comes from the recorded event
-K_TSPAWN = 4
-K_TEXIT = 5
-K_TPUT = 6
-K_TJOIN = 7
-K_HALT = 8
 
 # How a block (and possibly the run) ends.
 END_NONE = 0
 END_HALT = 1
 END_EXIT = 2
 
-# Register keys: one flat namespace over the three register files so
-# scoreboard state is a plain int-keyed dict.  Scalar keys are < 32.
-_RF_CODE = {"s": 0, "p": 1, "f": 2}
-
-# Structural units, ids matching :class:`TimingModel` order; the display
-# names mirror the core's SequentialUnit names so error parity holds.
-UNIT_MUL = 0
-UNIT_DIV = 1
-UNIT_REDUCTION = 2
-UNIT_NAMES = ("sequential multiplier", "sequential divider",
-              "unpipelined reduction network")
-
-_CLASS_INDEX = {ExecClass.SCALAR: 0, ExecClass.PARALLEL: 1,
-                ExecClass.REDUCTION: 2}
-
-
-def _reg_key(regfile: str, idx: int) -> int:
-    return (_RF_CODE[regfile] << 5) | idx
-
-
-def _raw_cause_table() -> dict[int, str]:
-    """(producer class * 3 + consumer class) -> stall bucket.
-
-    Built from representative OpSpecs through the core's own
-    :func:`repro.core.timing.classify_raw` so there is a single source
-    of truth for the hazard taxonomy.
-    """
-    reps: dict[ExecClass, OpSpec] = {}
-    for spec in OPCODES.values():
-        reps.setdefault(spec.exec_class, spec)
-    order = (ExecClass.SCALAR, ExecClass.PARALLEL, ExecClass.REDUCTION)
-    table: dict[int, str] = {}
-    for pi, producer in enumerate(order):
-        for ci, consumer in enumerate(order):
-            table[pi * 3 + ci] = coretiming.classify_raw(
-                reps[producer], reps[consumer])
-    return table
-
-
-RAW_CAUSE = _raw_cause_table()
-
 # Pipeline state at a block boundary, relative to the boundary's issue
 # base: in-flight writes as (reg key, result, writeback, producer class)
 # and busy units as (unit id, busy_until); both sorted, hence hashable
-# and canonical.
+# and canonical.  Register keys and unit ids are those of
+# :class:`repro.core.timing.TimingModel`.
 ScoreItem = tuple[int, int, int, int]
 UnitItem = tuple[int, int]
 PipelineState = tuple[tuple[ScoreItem, ...], tuple[UnitItem, ...]]
 
 EMPTY_STATE: PipelineState = ((), ())
-
-
-@dataclass(frozen=True, slots=True)
-class InstrTiming:
-    """Everything the timing replay needs to know about one instruction."""
-
-    mnemonic: str
-    kind: int
-    klass: int                       # 0 scalar / 1 parallel / 2 reduction
-    eclass: str                      # exec_class.value, for Stats buckets
-    srcs: tuple[tuple[int, int], ...]  # (reg key, consumer read offset)
-    dest: int                        # reg key, or -1
-    roff: int                        # result offset, or -1
-    wb: int                          # writeback offset, or -1
-    unit: int                        # structural unit id, or -1
-    occupancy: int                   # unit busy cycles when unit >= 0
-    resolve_taken: int               # min_issue offset after issue (taken)
-    resolve_not_taken: int           # ... (not taken / non-branch)
-    runit: str | None                # reduction_unit for stats, or None
-    raises: str | None               # SimulationError message, or None
-    raises_value: str | None         # ValueError message (WAW probe path)
-    imm: int
-    target: int                      # branch/jump resolved target pc
-
-
-class TimingModel:
-    """Per-instruction timing facts for one (program, config) pair.
-
-    Shared by the fold below and by the fast-path co-simulator
-    (:mod:`repro.assoc.fastpath`); every offset comes from
-    :mod:`repro.core.timing`, the same model the cycle core consults.
-    """
-
-    def __init__(self, program: Program, config: ProcessorConfig) -> None:
-        self.program = program
-        self.config = config
-        cfg = config
-        p_off = coretiming.parallel_read_offset(cfg)
-        self.parallel_read_off = p_off
-        self.width = cfg.word_width
-        have_mul = cfg.multiplier is MultiplierKind.SEQUENTIAL
-        have_div = cfg.divider is DividerKind.SEQUENTIAL
-        have_red = not cfg.pipelined_reduction
-        table: list[InstrTiming] = []
-        for pc, instr in enumerate(program.instructions):
-            spec = instr.spec
-            raises: str | None = None
-            raises_value: str | None = None
-            if spec.is_mul and cfg.multiplier is MultiplierKind.NONE:
-                raises = (f"{spec.mnemonic} needs a multiplier but none is "
-                          f"configured, at {program.location_of(pc)}")
-                raises_value = f"{spec.mnemonic}: no multiplier configured"
-            elif spec.is_div and cfg.divider is DividerKind.NONE:
-                raises = (f"{spec.mnemonic} needs a divider but none is "
-                          f"configured, at {program.location_of(pc)}")
-                raises_value = f"{spec.mnemonic}: no divider configured"
-            srcs = tuple((_reg_key(rf, idx), 2 if rf == "s" else p_off)
-                         for rf, idx in instr.src_regs())
-            d = instr.dest_reg()
-            dest = -1 if d is None else _reg_key(d[0], d[1])
-            roff = (None if raises is not None
-                    else coretiming.result_offset(spec, cfg))
-            unit = -1
-            occupancy = 0
-            if spec.is_mul and have_mul:
-                unit = UNIT_MUL
-                occupancy = sequential_mul_latency(cfg.word_width)
-            elif spec.is_div and have_div:
-                unit = UNIT_DIV
-                occupancy = sequential_div_latency(cfg.word_width)
-            elif spec.exec_class is ExecClass.REDUCTION and have_red:
-                unit = UNIT_REDUCTION
-                occupancy = coretiming.reduction_compute_cycles(spec, cfg)
-            if spec.is_branch:
-                kind = K_BRANCH
-                target = pc + 1 + instr.imm
-            elif spec.is_jump:
-                kind = K_JUMP if spec.mnemonic in ("j", "jal") else K_JR
-                target = instr.target
-            elif spec.mnemonic == "tspawn":
-                kind, target = K_TSPAWN, instr.imm
-            elif spec.mnemonic == "texit":
-                kind, target = K_TEXIT, 0
-            elif spec.mnemonic == "tput":
-                kind, target = K_TPUT, 0
-            elif spec.mnemonic == "tjoin":
-                kind, target = K_TJOIN, 0
-            elif spec.is_halt:
-                kind, target = K_HALT, 0
-            else:
-                kind, target = K_PLAIN, 0
-            table.append(InstrTiming(
-                mnemonic=spec.mnemonic,
-                kind=kind,
-                klass=_CLASS_INDEX[spec.exec_class],
-                eclass=spec.exec_class.value,
-                srcs=srcs,
-                dest=dest,
-                roff=-1 if roff is None else roff,
-                wb=-1 if roff is None else roff + 1,
-                unit=unit,
-                occupancy=occupancy,
-                resolve_taken=coretiming.control_resolve_offset(
-                    spec, cfg, True),
-                resolve_not_taken=coretiming.control_resolve_offset(
-                    spec, cfg, False),
-                runit=spec.reduction_unit,
-                raises=raises,
-                raises_value=raises_value,
-                imm=instr.imm,
-                target=target,
-            ))
-        self.table = table
-        # When the program contains an op the machine cannot execute,
-        # the *presence* of scoreboard entries decides which error type
-        # the core raises (the WAW probe's ValueError vs the issue-time
-        # SimulationError), so exit states must keep entries exactly as
-        # long as the core's prune_score would.
-        self.has_raises = any(it.raises is not None for it in table)
 
 
 @dataclass(frozen=True)
@@ -331,7 +167,7 @@ class TimingAnalysis:
                   ) -> BlockSummary:
         """Replay the block's issue schedule from a relative clock of 0.
 
-        Mirrors :meth:`repro.core.processor.Processor._ready_cycle` and
+        Mirrors :meth:`repro.core.processor.Processor._readiness` and
         ``_issue`` exactly — same binding-cause priority, same strict
         comparisons, same wait accounting — for a single runnable
         thread whose entry issue base is cycle 0.
@@ -353,17 +189,6 @@ class TimingAnalysis:
         while pc < end:
             it = table[pc]
             if it.raises is not None:
-                # Error-type parity with the core: an in-flight write to
-                # the instruction's own dest makes the WAW probe compute
-                # the consumer's writeback offset, which raises the
-                # latency model's ValueError before issue is attempted.
-                # The core's scoreboard was last pruned at its previous
-                # issue cycle, so an entry counts as present only if it
-                # survives that prune predicate.
-                e = score.get(it.dest) if it.dest >= 0 else None
-                if e is not None and (last < 0
-                                      or e[0] >= last or e[1] >= last):
-                    raise ValueError(it.raises_value)
                 raise SimulationError(it.raises)
             base = min_issue if min_issue > last + 1 else last + 1
             ready = base
@@ -376,9 +201,9 @@ class TimingAnalysis:
                 if need > ready:
                     ready = need
                     cause = RAW_CAUSE[e[2] * 3 + it.klass]
-            if it.dest >= 0:
+            if it.wb >= 0:
                 e = score.get(it.dest)
-                if e is not None and it.wb >= 0:
+                if e is not None:
                     need = e[1] + 1 - it.wb
                     if need > ready:
                         ready = need
@@ -395,7 +220,7 @@ class TimingAnalysis:
                 waits[cause] = waits.get(cause, 0) + (cycle - base)
             if it.unit >= 0:
                 units[it.unit] = cycle + it.occupancy
-            if it.dest >= 0 and it.roff >= 0:
+            if it.roff >= 0:
                 score[it.dest] = (cycle + it.roff, cycle + it.wb, it.klass)
             kind = it.kind
             resolve = it.resolve_not_taken
@@ -425,7 +250,7 @@ class TimingAnalysis:
             elif kind == K_TSPAWN:
                 raise AssertionError(
                     "tspawn reached the single-thread fold; spawning "
-                    "programs must use the co-simulating fast path")
+                    "programs run on the cycle core")
             min_issue = cycle + resolve
             if resolve > 1:
                 waits[st.STALL_CONTROL] = (
@@ -447,35 +272,22 @@ class TimingAnalysis:
             counts=(counts[0], counts[1], counts[2]),
             waits=tuple(sorted(waits.items())),
             runits=tuple(sorted(runits.items())),
-            exit_state=self._normalize(score, units, t2, last),
+            exit_state=self._normalize(score, units, t2),
         )
 
     def _normalize(self, score: dict[int, tuple[int, int, int]],
-                   units: dict[int, int], t2: int,
-                   last: int) -> PipelineState:
-        """Drop state that provably cannot delay any instruction >= t2.
-
-        When the program contains unexecutable ops, scoreboard presence
-        itself is observable (see :attr:`TimingModel.has_raises`), so
-        the exit rule falls back to the core's own prune predicate at
-        the block's last issue cycle.
-        """
+                   units: dict[int, int], t2: int) -> PipelineState:
+        """Drop state that provably cannot delay any instruction >= t2."""
         b = self.config.broadcast_depth
         keep: list[ScoreItem] = []
-        if self.model.has_raises:
-            for key, (res, wb, pk) in score.items():
-                if res < last and wb < last:
+        for key, (res, wb, pk) in score.items():
+            if key < 32:                   # scalar file
+                if res <= t2 + 1 and wb <= t2 + 2:
                     continue
-                keep.append((key, res - t2, wb - t2, pk))
-        else:
-            for key, (res, wb, pk) in score.items():
-                if key < 32:                   # scalar file
-                    if res <= t2 + 1 and wb <= t2 + 2:
-                        continue
-                else:                          # parallel / flag files
-                    if res <= t2 + b + 2 and wb <= t2 + b + 3:
-                        continue
-                keep.append((key, res - t2, wb - t2, pk))
+            else:                          # parallel / flag files
+                if res <= t2 + b + 2 and wb <= t2 + b + 3:
+                    continue
+            keep.append((key, res - t2, wb - t2, pk))
         keep.sort()
         busy = sorted((uid, until - t2) for uid, until in units.items()
                       if until > t2)

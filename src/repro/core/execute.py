@@ -16,7 +16,7 @@ test suite cross-checks the two implementations property-wise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from repro.util.bitops import (
     to_signed,
     to_unsigned,
 )
+
+if TYPE_CHECKING:
+    from repro.asm.program import Program
 
 
 class ExecutionError(RuntimeError):
@@ -447,3 +450,87 @@ class Executor:
             self.pe.write_flag(tid, instr.rd, first, mask)
             return
         raise ExecutionError(f"unimplemented reduction mnemonic {m!r}")
+
+
+# -- compiled scalar micro-ops ------------------------------------------------
+#
+# ``Executor.execute`` pays a Python dispatch (mnemonic lookup, spec
+# attribute reads, an ExecResult allocation) on every instruction.  For
+# the scalar ALU, ``lui`` and branch instructions — the bulk of dynamic
+# instructions in control- and address-arithmetic-heavy code — the
+# control outcome is statically known, so each pc compiles once into a
+# closure over the *same* integer op tables the Executor dispatches
+# through: arithmetic is identical by construction, only the dispatch
+# disappears.  The Executor paths these replace carry no fault or
+# sanitizer hooks.
+
+PlainOp = Callable[[ThreadContext], None]
+BranchOp = Callable[[ThreadContext], bool]
+
+
+def compile_fastops(
+    program: "Program", width: int,
+) -> tuple[list[PlainOp | None], list[BranchOp | None]]:
+    """Per-pc micro-ops for the scalar hot path of ``program``.
+
+    ``plain[pc]`` replaces ``Executor.execute`` for a scalar ALU /
+    ``lui`` instruction (next pc is ``pc + 1``); ``branch[pc]``
+    evaluates a branch condition.  Every other pc gets ``None`` and
+    goes through the Executor.
+    """
+    int_ops = make_scalar_int_ops(width)
+    mask = mask_for_width(width)
+    n = len(program.instructions)
+    plain: list[PlainOp | None] = [None] * n
+    branch: list[BranchOp | None] = [None] * n
+    for pc, instr in enumerate(program.instructions):
+        m = instr.mnemonic
+        pair = _SCALAR_INT.get(m)
+        if pair is not None:
+            op = int_ops[pair[0]]
+            if pair[1] == "rt":
+                def f_rr(t: ThreadContext, rd: int = instr.rd,
+                         rs: int = instr.rs, rt: int = instr.rt,
+                         op: Callable[[int, int], int] = op,
+                         mask: int = mask) -> None:
+                    s = t.sregs
+                    v = op(s[rs] if rs else 0, s[rt] if rt else 0)
+                    if rd:
+                        s[rd] = v & mask
+                plain[pc] = f_rr
+            else:
+                def f_ri(t: ThreadContext, rd: int = instr.rd,
+                         rs: int = instr.rs, imm: int = instr.imm,
+                         op: Callable[[int, int], int] = op,
+                         mask: int = mask) -> None:
+                    s = t.sregs
+                    v = op(s[rs] if rs else 0, imm)
+                    if rd:
+                        s[rd] = v & mask
+                plain[pc] = f_ri
+        elif m == "lui":
+            def f_lui(t: ThreadContext, rd: int = instr.rd,
+                      val: int = (instr.imm << 16) & mask) -> None:
+                if rd:
+                    t.sregs[rd] = val
+            plain[pc] = f_lui
+        elif (m in ("beq", "bne")
+              and registers.LINK_REG not in (instr.rd, instr.rs)):
+            # Every other scalar register is stored masked to the word,
+            # so equality of the stored values is word equality.
+            def f_eq(t: ThreadContext, rd: int = instr.rd,
+                     rs: int = instr.rs, ne: bool = m == "bne") -> bool:
+                s = t.sregs
+                return ((s[rd] if rd else 0) == (s[rs] if rs else 0)) is not ne
+            branch[pc] = f_eq
+        elif m in _BRANCHES:
+            # blt/bge, and beq/bne on the link register, which jal
+            # writes at full PC width.
+            def f_br(t: ThreadContext, rd: int = instr.rd,
+                     rs: int = instr.rs,
+                     cmp: Callable[[int, int, int], bool] = _BRANCHES[m],
+                     w: int = width) -> bool:
+                s = t.sregs
+                return cmp(s[rd] if rd else 0, s[rs] if rs else 0, w)
+            branch[pc] = f_br
+    return plain, branch

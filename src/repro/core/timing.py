@@ -27,23 +27,34 @@ Resulting hazard penalties relative to back-to-back issue (``d = c + 1``):
 * scalar load → anything: 1 (classic load-use);
 * reduction → scalar: **b + r** (Figure 2 middle);
 * reduction → parallel: **b + r** (Figure 2 bottom);
-* resolver (rfirst) → parallel: r (the consumer's own broadcast overlaps
-  the resolver's prefix network — an effect the paper does not call out
-  but that falls out of its stage structure).
+* resolver (rfirst) → parallel: r − 1 (the consumer's own broadcast
+  overlaps the resolver's prefix network, and the value is forwarded
+  into the consumer's PE EX stage — an effect the paper does not call
+  out but that falls out of its stage structure; DESIGN.md Section 5).
+
+:class:`TimingModel` compiles these offsets once per (program, config)
+into a per-pc :class:`InstrTiming` table keyed by int.  It is the one
+scoreboard vocabulary: the cycle core's issue loop and the static
+timing fold (:mod:`repro.analysis.timing`) both replay it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+from repro.core import stats as st
 from repro.core.config import DividerKind, MultiplierKind, ProcessorConfig
-from repro.isa.opcodes import ExecClass, OpSpec
+from repro.isa.opcodes import OPCODES, ExecClass, OpSpec
 from repro.network.falkoff import falkoff_cycles
 from repro.pe.seq_units import (
     PIPELINED_MUL_LATENCY,
     sequential_div_latency,
     sequential_mul_latency,
 )
+
+if TYPE_CHECKING:
+    from repro.asm.program import Program
 
 # Consumer read-point offsets relative to the consumer's issue cycle.
 SCALAR_READ_OFFSET = 2      # scalar EX / broadcast input B1
@@ -170,8 +181,6 @@ def classify_raw(producer_spec: OpSpec, consumer_spec: OpSpec) -> str:
       result of an earlier reduction instruction";
     * everything else is a plain scalar or parallel RAW dependency.
     """
-    from repro.core import stats as st
-
     pclass = producer_spec.exec_class
     cclass = consumer_spec.exec_class
     if pclass is ExecClass.REDUCTION:
@@ -181,6 +190,163 @@ def classify_raw(producer_spec: OpSpec, consumer_spec: OpSpec) -> str:
         return (st.STALL_RAW_SCALAR if cclass is ExecClass.SCALAR
                 else st.STALL_BROADCAST)
     return st.STALL_RAW_PARALLEL
+
+
+# ---------------------------------------------------------------------------
+# The per-pc timing table
+# ---------------------------------------------------------------------------
+
+# Instruction kinds.  Everything not listed behaves as K_PLAIN
+# (including tget, whose delivery read needs no special treatment).
+K_PLAIN = 0
+K_BRANCH = 1
+K_JUMP = 2          # j / jal: static target
+K_JR = 3            # indirect: target known only at run time
+K_TSPAWN = 4
+K_TEXIT = 5
+K_TPUT = 6
+K_TJOIN = 7
+K_HALT = 8
+
+# Register keys: one flat namespace over the three register files so a
+# scoreboard is a plain int-indexed table.  Scalar keys are < 32.
+_RF_CODE = {"s": 0, "p": 1, "f": 2}
+NUM_REG_KEYS = 3 << 5
+
+# Structural units, by id.
+UNIT_MUL = 0
+UNIT_DIV = 1
+UNIT_REDUCTION = 2
+
+_CLASS_INDEX = {ExecClass.SCALAR: 0, ExecClass.PARALLEL: 1,
+                ExecClass.REDUCTION: 2}
+
+
+def reg_key(regfile: str, idx: int) -> int:
+    """Scoreboard key of register ``idx`` of file ``regfile``."""
+    return (_RF_CODE[regfile] << 5) | idx
+
+
+def _raw_cause_table() -> dict[int, str]:
+    """(producer class * 3 + consumer class) -> stall bucket, built from
+    representative OpSpecs through :func:`classify_raw`."""
+    reps: dict[ExecClass, OpSpec] = {}
+    for spec in OPCODES.values():
+        reps.setdefault(spec.exec_class, spec)
+    order = (ExecClass.SCALAR, ExecClass.PARALLEL, ExecClass.REDUCTION)
+    return {pi * 3 + ci: classify_raw(reps[producer], reps[consumer])
+            for pi, producer in enumerate(order)
+            for ci, consumer in enumerate(order)}
+
+
+RAW_CAUSE = _raw_cause_table()
+
+
+@dataclass(frozen=True, slots=True)
+class InstrTiming:
+    """Everything the issue logic needs to know about one instruction."""
+
+    mnemonic: str
+    kind: int
+    klass: int                       # 0 scalar / 1 parallel / 2 reduction
+    eclass: str                      # exec_class.value, for Stats buckets
+    srcs: tuple[tuple[int, int], ...]  # (reg key, consumer read offset)
+    dest: int                        # reg key, or -1
+    roff: int                        # result offset, or -1 (no dest write)
+    wb: int                          # writeback offset, or -1 (ditto)
+    unit: int                        # structural unit id, or -1
+    occupancy: int                   # unit busy cycles when unit >= 0
+    resolve_taken: int               # min_issue offset after issue (taken)
+    resolve_not_taken: int           # ... (not taken / non-branch)
+    runit: str | None                # reduction_unit for stats, or None
+    raises: str | None               # SimulationError message, or None
+    imm: int
+    target: int                      # branch/jump resolved target pc
+
+
+class TimingModel:
+    """Per-instruction timing facts for one (program, config) pair.
+
+    An instruction the machine cannot execute (a multiply with no
+    multiplier, a divide with no divider) gets ``raises`` set, no
+    result offset and no writeback offset: it never waits on WAW order,
+    and issuing it raises :class:`~repro.core.processor.SimulationError`
+    with its source location.
+    """
+
+    def __init__(self, program: "Program", config: ProcessorConfig) -> None:
+        self.program = program
+        self.config = config
+        cfg = config
+        p_off = parallel_read_offset(cfg)
+        have_mul = cfg.multiplier is MultiplierKind.SEQUENTIAL
+        have_div = cfg.divider is DividerKind.SEQUENTIAL
+        have_red = not cfg.pipelined_reduction
+        table: list[InstrTiming] = []
+        for pc, instr in enumerate(program.instructions):
+            spec = instr.spec
+            raises: str | None = None
+            if spec.is_mul and cfg.multiplier is MultiplierKind.NONE:
+                raises = (f"{spec.mnemonic} needs a multiplier but none is "
+                          f"configured, at {program.location_of(pc)}")
+            elif spec.is_div and cfg.divider is DividerKind.NONE:
+                raises = (f"{spec.mnemonic} needs a divider but none is "
+                          f"configured, at {program.location_of(pc)}")
+            srcs = tuple((reg_key(rf, idx),
+                          SCALAR_READ_OFFSET if rf == "s" else p_off)
+                         for rf, idx in instr.src_regs())
+            d = instr.dest_reg()
+            dest = -1 if d is None else reg_key(d[0], d[1])
+            roff = (None if raises is not None or dest < 0
+                    else result_offset(spec, cfg))
+            unit = -1
+            occupancy = 0
+            if spec.is_mul and have_mul:
+                unit = UNIT_MUL
+                occupancy = sequential_mul_latency(cfg.word_width)
+            elif spec.is_div and have_div:
+                unit = UNIT_DIV
+                occupancy = sequential_div_latency(cfg.word_width)
+            elif spec.exec_class is ExecClass.REDUCTION and have_red:
+                unit = UNIT_REDUCTION
+                occupancy = reduction_compute_cycles(spec, cfg)
+            if spec.is_branch:
+                kind = K_BRANCH
+                target = pc + 1 + instr.imm
+            elif spec.is_jump:
+                kind = K_JUMP if spec.mnemonic in ("j", "jal") else K_JR
+                target = instr.target
+            elif spec.mnemonic == "tspawn":
+                kind, target = K_TSPAWN, instr.imm
+            elif spec.mnemonic == "texit":
+                kind, target = K_TEXIT, 0
+            elif spec.mnemonic == "tput":
+                kind, target = K_TPUT, 0
+            elif spec.mnemonic == "tjoin":
+                kind, target = K_TJOIN, 0
+            elif spec.is_halt:
+                kind, target = K_HALT, 0
+            else:
+                kind, target = K_PLAIN, 0
+            table.append(InstrTiming(
+                mnemonic=spec.mnemonic,
+                kind=kind,
+                klass=_CLASS_INDEX[spec.exec_class],
+                eclass=spec.exec_class.value,
+                srcs=srcs,
+                dest=dest,
+                roff=-1 if roff is None else roff,
+                wb=-1 if roff is None else roff + 1,
+                unit=unit,
+                occupancy=occupancy,
+                resolve_taken=control_resolve_offset(spec, cfg, True),
+                resolve_not_taken=control_resolve_offset(spec, cfg, False),
+                runit=spec.reduction_unit,
+                raises=raises,
+                imm=instr.imm,
+                target=target,
+            ))
+        self.table = table
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,16 @@ from repro.core.config import (
 from repro.core.memory import ScalarMemory, ScalarMemoryFault
 from repro.core.scheduler import ThreadScheduler
 from repro.core.stats import Stats
-from repro.core.thread import ThreadContext, ThreadState, ThreadStatusTable
+from repro.asm import assemble
+from repro.core.processor import Processor
+from repro.core.thread import (
+    NO_WRITE,
+    ThreadContext,
+    ThreadState,
+    ThreadStatusTable,
+)
+from repro.core.timing import NUM_REG_KEYS, reg_key, result_offset
+from repro.isa.opcodes import OPCODES
 from repro.pe.seq_units import SequentialUnit
 
 
@@ -194,12 +203,12 @@ class TestThreadStatusTable:
         table.allocate(pc=3, start_cycle=4)
         ctx = table[0]
         ctx.sregs[5] = 99
-        ctx.note_write("s", 5, 10, 11, None)
+        ctx.score[reg_key("s", 5)] = (10, 11, 0)
         table.release(0)
         table.allocate(pc=7, start_cycle=9)
         assert ctx.pc == 7
         assert ctx.sregs[5] == 0
-        assert not ctx.score["s"]
+        assert ctx.score == [NO_WRITE] * NUM_REG_KEYS
 
     def test_live_and_runnable(self):
         table = ThreadStatusTable(3)
@@ -209,14 +218,27 @@ class TestThreadStatusTable:
         assert len(table.live_threads()) == 2
         assert len(table.runnable_threads()) == 1
 
-    def test_prune_score(self):
-        ctx = ThreadContext(0)
-        ctx.note_write("s", 1, result_cycle=5, writeback_cycle=6,
-                       producer=None)
-        ctx.prune_score(4)
-        assert 1 in ctx.score["s"]
-        ctx.prune_score(7)
-        assert 1 not in ctx.score["s"]
+    def test_score_table_records_issued_writes(self):
+        """Issue records (result, writeback, producer class) per dest
+        register; the entry stays until the next write to it, and once
+        its cycles have passed it no longer delays a consumer."""
+        cfg = ProcessorConfig(num_pes=4, num_threads=2)
+        proc = Processor(cfg)
+        proc.load(assemble(".text\n    addi s1, s0, 5\n"
+                           "    paddi p2, p2, 1\n    nop\n    nop\n"
+                           "    nop\n    add s3, s1, s1\n    halt\n"))
+        proc.run(stop_when=lambda p, cycle: p.stats.instructions == 2)
+        ctx = proc.threads[0]
+        s_off = result_offset(OPCODES["addi"], cfg)
+        p_off = result_offset(OPCODES["paddi"], cfg)
+        assert ctx.score[reg_key("s", 1)] == (1 + s_off, 2 + s_off, 0)
+        assert ctx.score[reg_key("p", 2)] == (2 + p_off, 3 + p_off, 1)
+        written = {reg_key("s", 1), reg_key("p", 2)}
+        assert all(entry == NO_WRITE for key, entry in enumerate(ctx.score)
+                   if key not in written)
+        result = proc.run()
+        assert ctx.score[reg_key("s", 1)] == (1 + s_off, 2 + s_off, 0)
+        assert result.stats.total_wait_cycles == 0
 
     def test_zero_register_reads_zero(self):
         ctx = ThreadContext(0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as hst
 
 from repro.core import (
     BranchPolicy,
@@ -11,6 +12,13 @@ from repro.core import (
     run_program,
 )
 from repro.asm import assemble
+from repro.asm.program import Program
+from repro.core.execute import _BRANCHES, _SCALAR_INT, Executor, compile_fastops
+from repro.core.memory import ScalarMemory
+from repro.core.thread import ThreadStatusTable
+from repro.isa import registers
+from repro.isa.instruction import Instruction, IsaError
+from repro.pe.pe_array import PEArray
 
 
 def cfg8(**kw):
@@ -292,3 +300,74 @@ l:  addi s2, s2, -1
             if rec.thread in last:
                 assert rec.cycle > last[rec.thread]
             last[rec.thread] = rec.cycle
+
+
+
+class TestCompiledMicroOps:
+    """``compile_fastops`` closures agree with ``Executor.execute`` on
+    every scalar ALU, ``lui`` and branch mnemonic, at every word width,
+    including reads of s0 and of the full-width link register."""
+
+    MNEMONICS = sorted(set(_SCALAR_INT) | {"lui"} | set(_BRANCHES))
+
+    @staticmethod
+    def _context(width):
+        threads = ThreadStatusTable(1)
+        threads.allocate(pc=0, start_cycle=1)
+        executor = Executor(PEArray(2, 1, width, 4), ScalarMemory(16, width),
+                            threads, width)
+        return executor, threads[0]
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=hst.data(), width=hst.sampled_from([8, 16, 32]),
+           mnemonic=hst.sampled_from(MNEMONICS))
+    def test_compiled_op_matches_executor(self, data, width, mnemonic):
+        # A few registers (s0 and the link register among them) make
+        # shared and special operands common.
+        reg = hst.one_of(hst.sampled_from([0, 1, registers.LINK_REG]),
+                         hst.integers(0, registers.NUM_SCALAR_REGS - 1))
+        imm = hst.one_of(hst.integers(0, 63),
+                         hst.integers(-(1 << 15), (1 << 16) - 1))
+        try:
+            instr = Instruction(mnemonic, rd=data.draw(reg),
+                                rs=data.draw(reg), rt=data.draw(reg),
+                                imm=data.draw(imm))
+        except IsaError:
+            assume(False)
+        mask = (1 << width) - 1
+        # Small values make equal operands (taken beq) common.
+        word = hst.one_of(hst.integers(0, 3), hst.integers(0, mask))
+        values = [data.draw(word) for _ in range(registers.NUM_SCALAR_REGS)]
+        # jal writes the link register at full PC width: bits above the
+        # word must not change a comparison.
+        if width < 32:
+            values[registers.LINK_REG] = data.draw(word) | (data.draw(
+                hst.integers(1, 0xFFFFFFFF >> width)) << width)
+        plain, branch = compile_fastops(Program(instructions=[instr]), width)
+        executor, ref = self._context(width)
+        _, fast = self._context(width)
+        ref.sregs = list(values)
+        fast.sregs = list(values)
+        outcome = executor.execute(instr, ref)
+        if plain[0] is not None:
+            plain[0](fast)
+            assert (outcome.next_pc, outcome.taken) == (1, False)
+        else:
+            assert branch[0] is not None
+            taken = branch[0](fast)
+            assert taken == outcome.taken
+            assert outcome.next_pc == (1 + instr.imm if taken else 1)
+        assert fast.sregs == ref.sregs
+
+    @pytest.mark.parametrize("width", [8, 16])
+    @pytest.mark.parametrize("mnemonic", ["beq", "bne"])
+    def test_equality_branch_ignores_link_bits_above_word(self, mnemonic,
+                                                         width):
+        instr = Instruction(mnemonic, rd=registers.LINK_REG, rs=1, imm=3)
+        _, branch = compile_fastops(Program(instructions=[instr]), width)
+        executor, ref = self._context(width)
+        ref.sregs[registers.LINK_REG] = (1 << width) | 5
+        ref.sregs[1] = 5
+        outcome = executor.execute(instr, ref)
+        assert outcome.taken is (mnemonic == "beq")
+        assert branch[0](ref) is outcome.taken

@@ -129,3 +129,47 @@ class TestTopKQueryPattern:
         out = prog.compile().run(32, lmem={0: values})
         expected = sorted(values.tolist(), reverse=True)[:k]
         assert [out[f"t{i}"] for i in range(k)] == expected
+
+
+class TestMissingUnitUnderWaw:
+    """An op the machine lacks raises the typed, located SimulationError
+    even when an earlier write to its destination is still in flight
+    (once a bare ValueError from the WAW check, with no location)."""
+
+    CASES = [
+        ("pmul", ".text\n    paddi p1, p1, 1\n    pmul p1, p2, p3\n"
+                 "    halt\n", 1),
+        ("smul", ".text\n    addi s1, s0, 1\n    smul s1, s2, s3\n"
+                 "    halt\n", 1),
+        ("sdiv", ".text\n    addi s1, s0, 1\n    sdiv s1, s2, s3\n"
+                 "    halt\n", 1),
+        ("pmul", ".text\n    tspawn s9, w\n    paddi p1, p1, 1\n"
+                 "    pmul p1, p2, p3\n    halt\nw:\n    texit\n", 2),
+    ]
+
+    def _run(self, backend, source):
+        from repro.asm import assemble
+        from repro.assoc.fastpath import FastMachine
+        from repro.core import Processor
+        from repro.core.config import DividerKind, MultiplierKind
+
+        cfg = ProcessorConfig(num_pes=4, num_threads=2,
+                              multiplier=MultiplierKind.NONE,
+                              divider=DividerKind.NONE)
+        machine = (Processor if backend == "cycle" else FastMachine)(cfg)
+        return machine.run(assemble(source, word_width=cfg.word_width))
+
+    def test_typed_error_with_location(self):
+        import pytest
+
+        from repro.core.processor import SimulationError
+
+        for backend in ("cycle", "fast"):
+            for mnemonic, source, pc in self.CASES:
+                unit = "divider" if mnemonic == "sdiv" else "multiplier"
+                with pytest.raises(SimulationError) as info:
+                    self._run(backend, source)
+                assert type(info.value) is SimulationError
+                assert str(info.value).startswith(
+                    f"{mnemonic} needs a {unit} but none is configured, "
+                    f"at pc={pc} "), (backend, str(info.value))

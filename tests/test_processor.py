@@ -429,3 +429,47 @@ class TestMachineLifecycle:
         with pytest.raises(SimulationError) as e:
             run_program(".text\npmul p1, p2, p3\nhalt\n", cfg)
         assert "pc=0" in str(e.value)
+
+
+class TestCachedReadiness:
+    """A context's readiness is cached between events; changes that do
+    not come from an issue (a fault plane's PC flip, a state edit while
+    paused) must still be seen before the context next issues."""
+
+    # pc 2 waits on the reduction; pc 3 is independent of it.
+    SOURCE = (".text\n    paddi p1, p1, 1\n    rsum s1, p1\n"
+              "    add s2, s1, s1\n    addi s3, s0, 1\n    halt\n")
+
+    def _issues(self, proc):
+        return {rec.pc: rec.cycle for rec in proc.trace}
+
+    def test_pc_flip_while_stalled_is_seen(self):
+        from repro.faults import FaultKind, FaultPlane, FaultSite, FaultSpec
+
+        program = assemble(self.SOURCE)
+        clean = Processor(single_cfg(), trace=True)
+        clean.run(program)
+        issued = self._issues(clean)
+        assert issued[2] - issued[1] > 2          # a real stall
+        assert clean.stats.wait_cycles["reduction_hazard"] > 0
+        # Flip pc 2 -> 3 while the thread waits on the reduction.
+        spec = FaultSpec(FaultSite.THREAD_PC, FaultKind.TRANSIENT,
+                         cycle=issued[1] + 2, bit=0)
+        plane = FaultPlane([spec], single_cfg())
+        proc = Processor(single_cfg(), trace=True, faults=plane)
+        result = proc.run(program)
+        issued = self._issues(proc)
+        assert 2 not in issued and 3 in issued
+        # The skipped consumer's hazard is not charged to the new pc.
+        assert result.stats.wait_cycles.get("reduction_hazard", 0) == 0
+
+    def test_state_edited_while_paused_is_seen_on_resume(self):
+        proc = Processor(single_cfg(), trace=True)
+        proc.load(assemble(self.SOURCE))
+        proc.run(stop_when=lambda p, cycle: p.stats.instructions == 2
+                 and cycle > p.trace[-1].cycle + 1)
+        assert proc.paused and proc.threads[0].pc == 2
+        proc.threads[0].pc = 3                    # skip the consumer
+        result = proc.run()
+        assert 2 not in self._issues(proc)
+        assert result.stats.wait_cycles.get("reduction_hazard", 0) == 0
