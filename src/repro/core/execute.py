@@ -23,6 +23,7 @@ import numpy as np
 from repro.core.thread import ThreadContext, ThreadState
 from repro.isa import registers
 from repro.isa.instruction import Instruction
+from repro.isa.opcodes import ExecClass
 from repro.network import reduction as red
 from repro.pe.alu import _MAX_SHIFT, CMP_OPS, FLAG_OPS, INT_OPS
 from repro.pe.pe_array import PEArray
@@ -56,28 +57,17 @@ class ExecResult:
 
 # -- scalar integer helpers ---------------------------------------------------
 
-def _scalar_op(base: str, a: int, b: int, width: int) -> int:
-    """Run one base ALU op on scalars via the vectorized implementation.
-
-    Using the same code path as the PE ALU guarantees identical corner
-    semantics (shift clamping, division by zero, wrapping).
-    """
-    fn = INT_OPS[base]
-    return int(fn(np.array([a], dtype=np.int64),
-                  np.array([b], dtype=np.int64), width)[0])
-
-
 def make_scalar_int_ops(width: int) -> dict[str, "Callable[[int, int], int]"]:
     """Pure-int scalar ALU, semantics identical to :data:`INT_OPS`.
 
-    The scalar path executes one op on one value; building two numpy
-    arrays per op (as ``_scalar_op`` does) dominates the functional
-    backend's runtime.  These closures keep the exact corner semantics
-    of :mod:`repro.pe.alu` — wrapping W-bit arithmetic, the
-    ``min(count & 63, 31)`` shift clamp with overshift producing 0 (or
-    the sign fill for ``sra``), truncating signed division with the
-    all-ones div-by-zero result — in plain Python integers.  A property
-    test cross-checks every op against the vectorized implementation.
+    The scalar path executes one op on one value; a numpy round trip
+    per op would dominate the functional backend's runtime.  These
+    closures keep the exact corner semantics of :mod:`repro.pe.alu` —
+    wrapping W-bit arithmetic, the ``min(count & 63, 31)`` shift clamp
+    with overshift producing 0 (or the sign fill for ``sra``),
+    truncating signed division with the all-ones div-by-zero result —
+    in plain Python integers.  A property test cross-checks every op
+    against the vectorized implementation.
     """
     mask = mask_for_width(width)
     half = 1 << (width - 1)
@@ -452,34 +442,362 @@ class Executor:
         raise ExecutionError(f"unimplemented reduction mnemonic {m!r}")
 
 
-# -- compiled scalar micro-ops ------------------------------------------------
+# -- compiled micro-ops -------------------------------------------------------
 #
 # ``Executor.execute`` pays a Python dispatch (mnemonic lookup, spec
-# attribute reads, an ExecResult allocation) on every instruction.  For
-# the scalar ALU, ``lui`` and branch instructions — the bulk of dynamic
-# instructions in control- and address-arithmetic-heavy code — the
-# control outcome is statically known, so each pc compiles once into a
-# closure over the *same* integer op tables the Executor dispatches
-# through: arithmetic is identical by construction, only the dispatch
-# disappears.  The Executor paths these replace carry no fault or
-# sanitizer hooks.
+# attribute reads, an ExecResult allocation) on every instruction, and
+# its parallel paths pay about five numpy temporaries per op on top
+# (re-wrapping inputs, broadcasting scalars, a second mask in the
+# write).  Every pc whose control outcome is statically known therefore
+# compiles once into a closure:
+#
+# * scalar ALU and ``lui`` instructions close over the *same* integer
+#   op tables the Executor dispatches through, and branches evaluate
+#   their condition only;
+# * parallel, flag and reduction instructions close over one machine's
+#   PE storage and run numpy ufuncs straight on its stored rows.  Rows
+#   hold unsigned W-bit words and flag rows hold bools, so the inputs
+#   need no re-wrapping and the mask applies once, at the write.
+#   :mod:`repro.pe.alu` and :mod:`repro.network.reduction` remain the
+#   specification; a property test checks every op against the
+#   Executor.
+#
+# The Executor paths the scalar ops replace carry no fault or sanitizer
+# hooks.  The PE paths do carry fault hooks (parity reads, dead-PE
+# write suppression, reduction filters), so a machine with a fault
+# plane compiles no PE ops and runs those pcs through the hooked
+# Executor.
 
 PlainOp = Callable[[ThreadContext], None]
 BranchOp = Callable[[ThreadContext], bool]
 
 
-def compile_fastops(
-    program: "Program", width: int,
-) -> tuple[list[PlainOp | None], list[BranchOp | None]]:
-    """Per-pc micro-ops for the scalar hot path of ``program``.
+def _nop(t: ThreadContext) -> None:
+    """A write to p0, f0 or s0 that cannot fault: nothing changes."""
 
-    ``plain[pc]`` replaces ``Executor.execute`` for a scalar ALU /
-    ``lui`` instruction (next pc is ``pc + 1``); ``branch[pc]``
-    evaluates a branch condition.  Every other pc gets ``None`` and
-    goes through the Executor.
+
+def _shift_counts(b):
+    """:func:`repro.pe.alu._shift_amounts`' clamp.  On W-bit operands a
+    count of W or more already shifts every bit out (or in, as the sign
+    fill), so the ALU's overshift select is not needed."""
+    if type(b) is int:
+        return min(b & 63, _MAX_SHIFT)
+    return np.minimum(np.bitwise_and(b, 63), _MAX_SHIFT)
+
+
+def _pe_kernels(width: int) -> tuple[dict[str, Callable], dict[str, Callable],
+                                     dict[str, Callable]]:
+    """Kernels on stored rows at word width ``width``.
+
+    Returns ``(ints, cmps, reductions)``.  ``ints[base](a, b, out)`` and
+    ``cmps[base](a, b, out)`` write ``a op b`` into ``out`` (which may
+    alias ``a`` or ``b``); ``a`` is a register row and ``b`` a register
+    row or an int in ``[0, 2**width)``.  ``reductions[mnemonic](v, m)``
+    reduces row ``v`` over the PEs where ``m`` is set (``m`` is a flag
+    row, or True for every PE) and returns a Python int.
+    """
+    M = mask_for_width(width)
+    half = 1 << (width - 1)
+
+    def add(a, b, out):
+        np.add(a, b, out=out)
+        np.bitwise_and(out, M, out=out)
+
+    def sub(a, b, out):
+        np.subtract(a, b, out=out)
+        np.bitwise_and(out, M, out=out)
+
+    def nor(a, b, out):
+        np.bitwise_or(a, b, out=out)
+        np.bitwise_xor(out, M, out=out)
+
+    def sll(a, b, out):
+        k = _shift_counts(b)
+        np.left_shift(a, k, out=out)
+        np.bitwise_and(out, M, out=out)
+
+    def srl(a, b, out):
+        np.right_shift(a, _shift_counts(b), out=out)
+
+    def sra(a, b, out):
+        k = _shift_counts(b)
+        np.bitwise_xor(a, half, out=out)       # (a ^ half) - half is
+        np.subtract(out, half, out=out)        # the signed value
+        np.right_shift(out, k, out=out)
+        np.bitwise_and(out, M, out=out)
+
+    def mul(a, b, out):
+        np.multiply(a, b, out=out)
+        np.bitwise_and(out, M, out=out)
+
+    def div(a, b, out):
+        out[...] = INT_OPS["div"](a, np.asarray(b), width)
+
+    def and_(a, b, out):
+        np.bitwise_and(a, b, out=out)
+
+    def or_(a, b, out):
+        np.bitwise_or(a, b, out=out)
+
+    def xor(a, b, out):
+        np.bitwise_xor(a, b, out=out)
+
+    # XOR with the sign bit maps signed order onto unsigned order.
+    def lt(a, b, out):
+        np.less(np.bitwise_xor(a, half), b ^ half, out=out)
+
+    def le(a, b, out):
+        np.less_equal(np.bitwise_xor(a, half), b ^ half, out=out)
+
+    def eq(a, b, out):
+        np.equal(a, b, out=out)
+
+    def ne(a, b, out):
+        np.not_equal(a, b, out=out)
+
+    def ltu(a, b, out):
+        np.less(a, b, out=out)
+
+    def leu(a, b, out):
+        np.less_equal(a, b, out=out)
+
+    def rsum(v, m):
+        # Each PE's signed value is (v ^ half) - half; saturate the sum.
+        n = v.shape[0] if m is True else int(np.count_nonzero(m))
+        total = int(np.bitwise_xor(v, half).sum(where=m)) - half * n
+        return min(max(total, -half), half - 1) & M
+
+    def rcount(f, m):
+        return int(np.count_nonzero(f if m is True else f & m))
+
+    def rany(f, m):
+        return int(bool((f if m is True else f & m).any()))
+
+    ints = {"add": add, "sub": sub, "and": and_, "or": or_, "xor": xor,
+            "nor": nor, "sll": sll, "srl": srl, "sra": sra, "mul": mul,
+            "div": div}
+    cmps = {"ceq": eq, "cne": ne, "clt": lt, "cle": le, "cltu": ltu,
+            "cleu": leu}
+    reductions = {
+        "rand": lambda v, m: int(np.bitwise_and.reduce(v, where=m,
+                                                       initial=M)),
+        "ror": lambda v, m: int(np.bitwise_or.reduce(v, where=m,
+                                                     initial=0)),
+        "rmaxu": lambda v, m: int(v.max(where=m, initial=0)),
+        "rminu": lambda v, m: int(v.min(where=m, initial=M)),
+        "rmax": lambda v, m: int(np.bitwise_xor(v, half).max(
+            where=m, initial=0)) ^ half,
+        "rmin": lambda v, m: int(np.bitwise_xor(v, half).min(
+            where=m, initial=M)) ^ half,
+        "rsum": rsum, "rcount": rcount, "rany": rany,
+    }
+    reductions["rget"] = reductions["ror"]
+    return ints, cmps, reductions
+
+
+def _pe_compiler(pe: PEArray) -> Callable[[Instruction], PlainOp]:
+    """Compile parallel and reduction instructions against ``pe``.
+
+    The closures index per-thread lists of row views of ``pe.regs``,
+    ``pe.flags`` and ``pe.lmem``, so ``pe`` must keep those arrays
+    (``PEArray.reset`` refills them in place).
+    """
+    width = pe.word_width
+    M = pe.word_mask
+    ints, cmps, reductions = _pe_kernels(width)
+    R = [list(rows) for rows in pe.regs]        # R[tid][reg] -> row view
+    F = [list(rows) for rows in pe.flags]       # F[tid][flag] -> row view
+    itmp = np.empty(pe.num_pes, dtype=np.int64)   # masked-write scratch
+    btmp = np.empty(pe.num_pes, dtype=bool)
+    words = pe.lmem_words
+    flat = pe.lmem.reshape(-1)                  # a view: lmem is contiguous
+    row_base = np.arange(pe.num_pes, dtype=np.int64) * words
+
+    def rows(S, D, tmp, kern, rd, rs, rt, mf):
+        # D[rd] := kern(S[rs], S[rt]) where F[mf].
+        def f(t: ThreadContext) -> None:
+            tid = t.tid
+            src = S[tid]
+            if mf:
+                kern(src[rs], src[rt], tmp)
+                np.copyto(D[tid][rd], tmp, where=F[tid][mf])
+            else:
+                kern(src[rs], src[rt], D[tid][rd])
+        return f
+
+    def const(S, D, tmp, kern, rd, rs, b, mf):
+        # D[rd] := kern(S[rs], b) where F[mf]; ``b`` an immediate.
+        def f(t: ThreadContext) -> None:
+            tid = t.tid
+            if mf:
+                kern(S[tid][rs], b, tmp)
+                np.copyto(D[tid][rd], tmp, where=F[tid][mf])
+            else:
+                kern(S[tid][rs], b, D[tid][rd])
+        return f
+
+    def scalar(D, tmp, kern, rd, rs, rt, mf):
+        # D[rd] := kern(R[rs], s[rt] broadcast) where F[mf].
+        def f(t: ThreadContext) -> None:
+            tid = t.tid
+            b = t.sregs[rt] & M if rt else 0
+            if mf:
+                kern(R[tid][rs], b, tmp)
+                np.copyto(D[tid][rd], tmp, where=F[tid][mf])
+            else:
+                kern(R[tid][rs], b, D[tid][rd])
+        return f
+
+    def check_lmem(t: ThreadContext, a: np.ndarray, mf: int, imm: int,
+                   what: str) -> None:
+        # Active PEs need 0 <= a + imm < words; a is never negative.
+        lo, hi = -imm, words - imm
+        m = F[t.tid][mf]
+        if mf:
+            bad = (a.max(where=m, initial=lo) >= hi
+                   or (lo > 0 and a.min(where=m, initial=lo) < lo))
+        else:
+            bad = a.max() >= hi or (lo > 0 and a.min() < lo)
+        if bad:
+            pe._check_addresses(a + imm, m, what)   # raises MemoryFault
+
+    def pbcast(rd, rs, mf):
+        def f(t: ThreadContext) -> None:
+            tid = t.tid
+            v = t.sregs[rs] & M if rs else 0
+            if mf:
+                np.copyto(R[tid][rd], v, where=F[tid][mf])
+            else:
+                R[tid][rd].fill(v)
+        return f
+
+    def psel(rd, rs, rt, mf):
+        def f(t: ThreadContext) -> None:
+            r = R[t.tid]
+            r[rd][...] = np.where(F[t.tid][mf], r[rs], r[rt])
+        return f
+
+    def plw(rd, rs, imm, mf):
+        base = row_base + imm
+
+        def f(t: ThreadContext) -> None:
+            a = R[t.tid][rs]
+            check_lmem(t, a, mf, imm, "load")
+            if not rd:
+                return
+            if mf:
+                np.copyto(R[t.tid][rd], np.take(flat, a + base, mode="clip"),
+                          where=F[t.tid][mf])
+            else:
+                np.take(flat, a + base, out=R[t.tid][rd], mode="clip")
+        return f
+
+    def psw(rd, rs, imm, mf):
+        base = row_base + imm
+
+        def f(t: ThreadContext) -> None:
+            r = R[t.tid]
+            a = r[rs]
+            check_lmem(t, a, mf, imm, "store")
+            if mf:
+                m = F[t.tid][mf]
+                flat[(a + base)[m]] = r[rd][m]
+            else:
+                flat[a + base] = r[rd]
+        return f
+
+    def reduce(kern, S, rd, rs, mf):
+        def f(t: ThreadContext) -> None:
+            tid = t.tid
+            t.sregs[rd] = kern(S[tid][rs], F[tid][mf] if mf else True) & M
+        return f
+
+    def rfirst(rd, rs, mf):
+        def f(t: ThreadContext) -> None:
+            fl = F[t.tid]
+            m = fl[mf]
+            responders = np.logical_and(fl[rs], m) if mf else fl[rs]
+            first = int(responders.argmax())
+            hit = bool(responders[first])
+            d = fl[rd]      # the resolver's output replaces it where m
+            if mf:
+                np.copyto(d, False, where=m)
+            else:
+                d.fill(False)
+            if hit:
+                d[first] = True
+        return f
+
+    flag_ops = {
+        "fand": np.logical_and, "for": np.logical_or,
+        "fxor": np.logical_xor, "fandn": np.greater,   # a & ~b on bools
+    }
+    flag_unary = {
+        "fnot": lambda a, _b, out: np.logical_not(a, out=out),
+        "fmov": lambda a, _b, out: np.copyto(out, a),
+        "fset": lambda _a, _b, out: out.fill(True),
+        "fclr": lambda _a, _b, out: out.fill(False),
+    }
+
+    def compile_one(instr: Instruction) -> PlainOp:
+        m = instr.mnemonic
+        rd, rs, rt, mf = instr.rd, instr.rs, instr.rt, instr.mf
+        if m == "plw":
+            return plw(rd, rs, instr.imm, mf)
+        if m == "psw":
+            return psw(rd, rs, instr.imm, mf)
+        if not rd:
+            return _nop          # p0, f0 and s0 ignore writes
+        if m in _PARALLEL_INT or m in _PARALLEL_CMP:
+            if m in _PARALLEL_INT:
+                base, bsrc = _PARALLEL_INT[m]
+                D, tmp, kern = R, itmp, ints[base]
+            else:
+                base, bsrc = _PARALLEL_CMP[m]
+                D, tmp, kern = F, btmp, cmps[base]
+            if bsrc == "pt":
+                return rows(R, D, tmp, kern, rd, rs, rt, mf)
+            if bsrc == "st":
+                return scalar(D, tmp, kern, rd, rs, rt, mf)
+            return const(R, D, tmp, kern, rd, rs, instr.imm & M, mf)
+        if m in flag_ops:
+            return rows(F, F, btmp, flag_ops[m], rd, rs, rt, mf)
+        if m in flag_unary:
+            # fset/fclr read no source: their rs field may hold anything.
+            src = rs if m in ("fnot", "fmov") else registers.ALWAYS_FLAG
+            return const(F, F, btmp, flag_unary[m], rd, src, None, mf)
+        if m == "pbcast":
+            return pbcast(rd, rs, mf)
+        if m == "psel":
+            return psel(rd, rs, rt, mf)
+        if m == "rfirst":
+            return rfirst(rd, rs, mf)
+        if m in red.REDUCTION_FNS:
+            return reduce(reductions[m], R, rd, rs, mf)
+        if m in ("rcount", "rany"):
+            return reduce(reductions[m], F, rd, rs, mf)
+        raise ExecutionError(f"no micro-op for {m!r}")
+
+    return compile_one
+
+
+def compile_fastops(
+    program: "Program", width: int, pe: PEArray | None = None,
+) -> tuple[list[PlainOp | None], list[BranchOp | None]]:
+    """Per-pc micro-ops for ``program``.
+
+    ``plain[pc]`` replaces ``Executor.execute`` for an instruction whose
+    next pc is always ``pc + 1``: a scalar ALU or ``lui`` instruction
+    and, when ``pe`` is given, every parallel, flag and reduction
+    instruction, run on ``pe``'s storage.  ``branch[pc]`` evaluates a
+    branch condition.  Every other pc gets ``None`` and goes through the
+    Executor: jumps, memory, thread and halt instructions, and the PE
+    instructions of a machine that passes no ``pe`` (one with a fault
+    plane, whose hooks live in the Executor).
     """
     int_ops = make_scalar_int_ops(width)
     mask = mask_for_width(width)
+    compile_pe = _pe_compiler(pe) if pe is not None else None
     n = len(program.instructions)
     plain: list[PlainOp | None] = [None] * n
     branch: list[BranchOp | None] = [None] * n
@@ -533,4 +851,7 @@ def compile_fastops(
                 s = t.sregs
                 return cmp(s[rd] if rd else 0, s[rs] if rs else 0, w)
             branch[pc] = f_br
+        elif compile_pe is not None and instr.spec.exec_class is not \
+                ExecClass.SCALAR:
+            plain[pc] = compile_pe(instr)
     return plain, branch

@@ -16,10 +16,14 @@ The issue loop reads every latency from one per-pc
 :class:`~repro.core.timing.TimingModel` table and keeps each context's
 readiness cached until an event that can move it: the thread's own
 issue, a ``tput`` delivery into its registers, a join wake, a spawn, or
-the occupancy of the structural unit it waits on.  Scalar ALU, ``lui``
-and branch instructions run as compiled micro-ops
-(:func:`~repro.core.execute.compile_fastops`); everything else goes
-through the :class:`~repro.core.execute.Executor`.
+the occupancy of the structural unit it waits on.  Instructions run as
+per-pc micro-ops compiled once per program
+(:func:`~repro.core.execute.compile_fastops`): scalar ALU, ``lui`` and
+branch instructions always, and every parallel, flag and reduction
+instruction on a machine without a fault plane.  Jumps, memory, thread
+and halt instructions go through the
+:class:`~repro.core.execute.Executor`, as do the PE instructions of a
+machine with a fault plane, whose hooks live there.
 """
 
 from __future__ import annotations
@@ -188,7 +192,8 @@ class Processor:
             if self._model is None or self._model.program is not self.program:
                 self._model = TimingModel(self.program, cfg)
                 self._plain, self._branch = compile_fastops(
-                    self.program, cfg.word_width)
+                    self.program, cfg.word_width,
+                    self.pe if self.faults is None else None)
         self.threads = ThreadStatusTable(cfg.num_threads)
         self.executor = Executor(self.pe, self.mem, self.threads,
                                  cfg.word_width, faults=self.faults,

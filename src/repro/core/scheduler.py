@@ -21,8 +21,6 @@ Four disciplines are implemented (DESIGN.md experiment E8):
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.core.config import MTMode, ProcessorConfig, SchedulerPolicy
 from repro.core.thread import ThreadContext
 from repro.isa.opcodes import ExecClass
@@ -41,24 +39,31 @@ class ThreadScheduler:
         #: policy consults other threads' ready times, so the issue loop
         #: skips building the map for the others.
         self.needs_ready_of = cfg.mt_mode is MTMode.COARSE
+        self._rotating = cfg.scheduler is not SchedulerPolicy.FIXED
 
     # -- priority orders -----------------------------------------------------
+    #
+    # Candidates arrive in tid order (as ``live_threads()`` lists them).
+    # Fixed priority grants them in that order; rotating priority starts
+    # at the first tid past the last grant and wraps around.
 
-    def _priority(self) -> Callable[[ThreadContext], int]:
-        """Sort key: lower is granted first."""
-        if self.cfg.scheduler is SchedulerPolicy.FIXED:
-            return lambda t: t.tid
-        n = self.cfg.num_threads
-        pointer = self._pointer
-        return lambda t: (t.tid - pointer - 1) % n
+    def _start(self, candidates: list[ThreadContext]) -> int:
+        """Index of the candidate granted first."""
+        if self._rotating:
+            pointer = self._pointer
+            for i, t in enumerate(candidates):
+                if t.tid > pointer:
+                    return i
+        return 0
 
     def _rotate(self, candidates: list[ThreadContext]) -> list[ThreadContext]:
-        return sorted(candidates, key=self._priority())
+        i = self._start(candidates)
+        return candidates[i:] + candidates[:i]
 
     def _first(self, candidates: list[ThreadContext]) -> ThreadContext:
         if len(candidates) == 1:
             return candidates[0]
-        return min(candidates, key=self._priority())
+        return candidates[self._start(candidates)]
 
     # -- selection -------------------------------------------------------------
 

@@ -79,7 +79,11 @@ class JobError(ValueError):
 
 
 def config_from_json(spec: dict | None) -> ProcessorConfig:
-    """Build a :class:`ProcessorConfig` from a JSON dict of field values."""
+    """Build a :class:`ProcessorConfig` from a JSON dict of field values
+    (None gives the default configuration)."""
+    if spec is not None and not isinstance(spec, dict):
+        raise JobError(f"'config' must be an object of ProcessorConfig "
+                       f"fields or null, got {type(spec).__name__}")
     spec = dict(spec or {})
     known = {f.name for f in dataclasses.fields(ProcessorConfig)}
     unknown = sorted(set(spec) - known)
@@ -194,14 +198,22 @@ class Job:
         if not isinstance(kernel_args, dict):
             raise JobError("'kernel_args' must be an object of keyword "
                            "arguments for the kernel builder")
+        max_cycles = obj.get("max_cycles")
+        if max_cycles is not None and (type(max_cycles) is not int
+                                       or max_cycles < 1):
+            raise JobError(f"'max_cycles' must be a positive integer or "
+                           f"null, got {max_cycles!r}")
+        flags = {}
+        for flag in ("sanitize", "profile", "verify"):
+            flags[flag] = obj.get(flag, False)
+            if type(flags[flag]) is not bool:
+                raise JobError(f"'{flag}' must be true or false, got "
+                               f"{flags[flag]!r}")
         return cls(name=str(name), source=source, kernel=obj.get("kernel"),
                    kernel_args={str(k): v for k, v in kernel_args.items()},
                    config=config_from_json(obj.get("config")),
-                   lmem=lmem, max_cycles=obj.get("max_cycles"), fault=fault,
-                   sanitize=bool(obj.get("sanitize", False)),
-                   profile=bool(obj.get("profile", False)),
-                   verify=bool(obj.get("verify", False)),
-                   backend=str(obj.get("backend", "cycle")))
+                   lmem=lmem, max_cycles=max_cycles, fault=fault,
+                   backend=str(obj.get("backend", "cycle")), **flags)
 
     def prepare(self) -> PreparedJob:
         """Assemble and hash this job into its canonical form."""

@@ -233,6 +233,47 @@ loop:
         assert np.all(vec[[0, 1, 2, 3]] == 8) and np.all(vec[8:] == 8)
 
 
+class TestFaultedCoreKeepsHooks:
+    """A machine with a fault plane runs its parallel and reduction
+    instructions through the hooked Executor, not the compiled PE
+    micro-ops: each check below would go silent under a micro-op."""
+
+    def test_parity_alarm_on_parallel_read(self):
+        spec = FaultSpec(site=FaultSite.PE_REG, kind=FaultKind.TRANSIENT,
+                         cycle=8, pe=3, thread=0, reg=1, bit=2)
+        plane = FaultPlane([spec], CFG16, parity=True)
+        result = Processor(CFG16, faults=plane).run(
+            assemble(_PARITY_SRC, word_width=16))
+        assert [(a["kind"], a["reg"], a["pes"]) for a in plane.alarms] \
+            == [("parity", "p1", [3])]
+        assert result.stats.fault_alarms >= 1
+
+    def test_condemned_pe_padd_write_is_suppressed(self):
+        # p1 is written everywhere first; PE 4 is then condemned (the
+        # dead-PE write mask), so padd's write skips it.
+        plane = FaultPlane([], CFG16)
+        proc = Processor(CFG16, faults=plane)
+        proc.load(assemble(
+            ".text\nli s1, 7\npbcast p1, s1\npadd p2, p1, p1\nhalt\n",
+            word_width=16))
+        assert proc.run(stop_when=lambda p, _c: p.threads[0].pc == 2).paused
+        plane.mask_out(np.array([4]))
+        result = proc.run()
+        assert result.pe_reg(1).tolist() == [7] * CFG16.num_pes
+        expected = [14] * CFG16.num_pes
+        expected[4] = 0
+        assert result.pe_reg(2).tolist() == expected
+
+    def test_reduction_mask_filters_rsum(self):
+        plane = FaultPlane([], CFG16)
+        proc = Processor(CFG16, faults=plane)
+        plane.mask_out(np.array([2, 5, 9]))
+        result = proc.run(assemble(
+            ".text\nli s1, 3\npbcast p1, s1\nrsum s2, p1\nhalt\n",
+            word_width=16))
+        assert result.scalar(2) == 3 * (CFG16.num_pes - 3)
+
+
 # ---------------------------------------------------------------------------
 # Tentpole: self-test + graceful degradation
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.asm import assemble
 from repro.core import MTMode, ProcessorConfig
+from repro.core.config import SchedulerPolicy
 from repro.core.scheduler import ThreadScheduler
 from repro.core.thread import ThreadStatusTable
 from repro.opt import basic_blocks, build_dag, schedule_block
@@ -89,6 +90,54 @@ LINES = st.sampled_from([
     "    psw  p2, 1(p0)",
     "    fand f2, f1, f1",
 ])
+
+
+class TestPriorityScan:
+    """``_first`` and ``_rotate`` scan tid-ordered candidates instead of
+    sorting under a priority key; they must grant in the same order."""
+
+    @staticmethod
+    def _order(policy, pointer, n, candidates):
+        if policy is SchedulerPolicy.FIXED:
+            return sorted(candidates, key=lambda t: t.tid)
+        return sorted(candidates, key=lambda t: (t.tid - pointer - 1) % n)
+
+    @classmethod
+    def _reference(cls, policy, pointer, n, candidates):
+        return cls._order(policy, pointer, n, candidates)[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 16), data=st.data(),
+           policy=st.sampled_from(list(SchedulerPolicy)),
+           mode=st.sampled_from([MTMode.FINE, MTMode.COARSE]))
+    def test_scan_grants_the_priority_minimum(self, n, data, policy, mode):
+        tids = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        pointer = data.draw(st.integers(-1, n - 1))
+        sched = ThreadScheduler(ProcessorConfig(
+            num_pes=4, num_threads=n, mt_mode=mode, scheduler=policy))
+        sched._pointer = pointer
+        table = threads(n)
+        candidates = [table[t] for t in tids]
+        expected = self._reference(policy, pointer, n, candidates)
+        assert sched._first(candidates) is expected
+        assert sched._rotate(candidates) == self._order(policy, pointer, n,
+                                                        candidates)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 16),
+           rounds=st.lists(st.sets(st.integers(0, 15), min_size=1),
+                           min_size=1, max_size=20))
+    def test_fine_grain_grants_follow_the_rotation(self, n, rounds):
+        sched = ThreadScheduler(ProcessorConfig(num_pes=4, num_threads=n))
+        table = threads(n)
+        for cycle, ready in enumerate(rounds):
+            candidates = [table[t] for t in sorted(ready) if t < n]
+            if not candidates:
+                continue
+            expected = self._reference(SchedulerPolicy.ROTATING,
+                                       sched._pointer, n, candidates)
+            assert sched.select(candidates, cycle, {}, None) == [expected]
+            assert sched._pointer == expected.tid
 
 
 class TestListSchedulerLegality:

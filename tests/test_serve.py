@@ -346,6 +346,37 @@ class TestJobParsing:
                                              scalar_mem_words=4096,
                                              ).prepare().key
 
+    @pytest.mark.parametrize("value", ["x", -5, 0, True, 2.5, [10]])
+    def test_max_cycles_must_be_a_positive_int(self, value):
+        with pytest.raises(JobError, match="'max_cycles' must be"):
+            Job.from_json({"source": DEMO, "max_cycles": value})
+
+    @pytest.mark.parametrize("value", [None, 1, 100_000])
+    def test_max_cycles_accepts_positive_int_or_null(self, value):
+        job = Job.from_json({"source": DEMO, "max_cycles": value})
+        assert job.max_cycles == value
+
+    @pytest.mark.parametrize("value", [[], "ab", 3, [["num_pes", 4]]])
+    def test_config_must_be_an_object(self, value):
+        with pytest.raises(JobError, match="'config' must be an object"):
+            Job.from_json({"source": DEMO, "config": value})
+
+    def test_null_config_is_the_default(self):
+        job = Job.from_json({"source": DEMO, "config": None})
+        assert job.config == ProcessorConfig()
+
+    @pytest.mark.parametrize("flag", ["sanitize", "profile", "verify"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+    def test_flags_must_be_json_booleans(self, flag, value):
+        with pytest.raises(JobError, match=f"'{flag}' must be true or false"):
+            Job.from_json({"source": DEMO, flag: value})
+
+    @pytest.mark.parametrize("flag", ["sanitize", "profile", "verify"])
+    def test_boolean_flags_parse(self, flag):
+        assert getattr(Job.from_json({"source": DEMO, flag: True}), flag)
+        assert not getattr(Job.from_json({"source": DEMO, flag: False}),
+                           flag)
+
     def test_jobs_document_forms(self):
         doc = {"jobs": [{"name": "x", "source": DEMO}]}
         assert len(jobs_from_json(doc)) == 1
