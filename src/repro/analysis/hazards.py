@@ -114,11 +114,15 @@ class _Score:
 
 
 class _Replay:
-    """The static mirror of ``Processor._readiness`` / ``_issue``.
+    """The static mirror of the cycle core's readiness rule and issue
+    bookkeeping for one thread (:mod:`repro.core.processor`).
 
     Keeps the check order of the core (sources in operand order, then
     WAW, then structural) so stall *attribution* matches the
-    simulator's binding-cause accounting, not just the totals.
+    simulator's binding-cause accounting, not just the totals.  Unlike
+    the core it works from ``OpSpec`` formulas rather than the
+    :class:`~repro.core.timing.TimingModel` table, and also names the
+    producer pc of each binding edge.
     """
 
     def __init__(self, cfg: ProcessorConfig) -> None:

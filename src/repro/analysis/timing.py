@@ -167,10 +167,10 @@ class TimingAnalysis:
                   ) -> BlockSummary:
         """Replay the block's issue schedule from a relative clock of 0.
 
-        Mirrors :meth:`repro.core.processor.Processor._readiness` and
-        ``_issue`` exactly — same binding-cause priority, same strict
-        comparisons, same wait accounting — for a single runnable
-        thread whose entry issue base is cycle 0.
+        Mirrors the cycle core's readiness rule and issue bookkeeping
+        (:mod:`repro.core.processor`) exactly — same binding-cause
+        priority, same strict comparisons, same wait accounting — for a
+        single runnable thread whose entry issue base is cycle 0.
         """
         table = self.model.table
         end = self._block_end[start]

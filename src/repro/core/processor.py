@@ -24,10 +24,20 @@ instruction on a machine without a fault plane.  Jumps, memory, thread
 and halt instructions go through the
 :class:`~repro.core.execute.Executor`, as do the PE instructions of a
 machine with a fault plane, whose hooks live there.
+
+While exactly one context is runnable (any others wait in ``tjoin``),
+the loop runs no scheduling rounds: :meth:`Processor._burst` issues
+that context back to back, the micro-ops of unit-free pcs inline and
+everything else through :meth:`Processor._issue`.  The burst is off
+under the fetch model or a fault plane, when ``run()`` is given a
+``stop_when``, and while more than one context is runnable.  Issue
+counts are kept per pc and folded into :class:`Stats` when ``run()``
+exits; ``Stats.instructions`` alone is kept exact every round.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,6 +176,10 @@ class Processor:
         self._model: TimingModel | None = None
         self._plain: list[PlainOp | None] = []
         self._branch: list[BranchOp | None] = []
+        # Per-pc: the record the burst issues it from inline (see
+        # _inline_records), or None; and how often it issued since reset.
+        self._inline: list[tuple | None] = []
+        self._issued: list[int] = []
         # Per-context readiness cache: (ready, cause, base), valid while
         # the context's dirty flag is clear; plus the structural unit id
         # the cached value waits on (-1 for none).  A context's last
@@ -194,6 +208,11 @@ class Processor:
                 self._plain, self._branch = compile_fastops(
                     self.program, cfg.word_width,
                     self.pe if self.faults is None else None)
+                hooked = (self.sanitizer is not None
+                          or self.profiler is not None or self.trace_enabled)
+                self._inline = _inline_records(
+                    self._model, self._plain, self._branch, hooked)
+            self._issued = [0] * len(self.program.instructions)
         self.threads = ThreadStatusTable(cfg.num_threads)
         self.executor = Executor(self.pe, self.mem, self.threads,
                                  cfg.word_width, faults=self.faults,
@@ -269,6 +288,11 @@ class Processor:
         self._wait_unit[thread.tid] = it.unit
         return ready, cause, base
 
+    @staticmethod
+    def _timeout(limit: int, live: list[ThreadContext]) -> SimTimeout:
+        return SimTimeout(f"exceeded max_cycles={limit}; "
+                          f"live threads at {[t.pc for t in live]}")
+
     # -- issue -------------------------------------------------------------------
 
     def _issue(self, thread: ThreadContext, cycle: int, base: int,
@@ -337,9 +361,9 @@ class Processor:
             unit.latency = it.occupancy
             unit.occupy(cycle)
             wait_unit = self._wait_unit
-            for other in range(cfg.num_threads):
-                if wait_unit[other] == it.unit:
-                    dirty[other] = True
+            for other in threads.live_threads():
+                if wait_unit[other.tid] == it.unit:
+                    dirty[other.tid] = True
 
         # Scoreboard update for the destination register.
         if it.roff >= 0:
@@ -382,12 +406,10 @@ class Processor:
                 self.profiler.on_activate(spawned, cycle + 1)
 
         # Statistics and trace.
-        stats.count_issue(tid, it.eclass)
+        self._issued[pc] += 1
         if self.profiler is not None:
             self.profiler.on_issue(tid, it.mnemonic, it.eclass, cycle, base,
                                    cause, resolve)
-        if it.runit is not None:
-            stats.reduction_unit_uses[it.runit] += 1
         if self.trace_enabled:
             self.trace.append(IssueRecord(cycle, tid, pc, instr,
                                           fetch_cycle=base - 1))
@@ -405,6 +427,115 @@ class Processor:
                 if self.profiler is not None:
                     self.profiler.on_join_wake(ctx.tid, cycle)
 
+    # -- the lone-thread burst ---------------------------------------------------
+
+    def _burst(self, thread: ThreadContext, live: list[ThreadContext],
+               cycle: int, limit: int) -> int:
+        """Issue ``thread``, the only runnable context, back to back.
+
+        With one runnable context and no fetch model, fault plane or
+        ``stop_when``, every scheduling round grants that context as
+        soon as it is ready, so a round reduces to its readiness: the
+        burst evaluates it from the same table row and scoreboard,
+        jumps to the ready cycle under the same watchdog, and issues.
+        A pc with an ``_inline`` record runs its micro-op here; every
+        other pc goes through :meth:`_issue`.  Returns the next round's
+        cycle once the live list changes, the machine halts or the
+        thread stops being runnable (a blocking ``tjoin``).
+        """
+        inline = self._inline
+        n = len(inline)
+        issued = self._issued
+        threads = self.threads
+        wait = self.stats.wait_cycles
+        score = thread.score
+        runnable = ThreadState.RUNNABLE
+        control = st.STALL_CONTROL
+        waw = st.STALL_WAW
+        first = thread.instructions_issued
+        while True:
+            pc = thread.pc
+            rec = inline[pc] if 0 <= pc < n else None
+            if rec is None:
+                # The round's order: the watchdog, then readiness (which
+                # rejects a pc outside the program), then the watchdog
+                # at the ready cycle.
+                if cycle > limit:
+                    raise self._timeout(limit, live)
+                ready, cause, base = self._readiness(thread, cycle)
+                if ready > cycle:
+                    cycle = ready
+                    if cycle > limit:
+                        raise self._timeout(limit, live)
+                self._issue(thread, cycle, base, cause)
+                cycle += 1
+                if (self.halted or thread.state is not runnable
+                        or threads.live_threads() is not live):
+                    break
+                continue
+            # A stretch of inline pcs keeps the thread's pc, min_issue
+            # and last_issue in locals; ``finally`` stores them back.
+            min_issue = thread.min_issue
+            last = thread.last_issue
+            count = 0
+            try:
+                while True:
+                    (srcs, causes, klass, dest, roff, wb, op, test, target,
+                     resolve_taken, resolve_not_taken) = rec
+                    base = min_issue if min_issue > last else last + 1
+                    ready = base
+                    cause = None
+                    for key, lag in srcs:
+                        entry = score[key]
+                        need = entry[0] + lag
+                        if need > ready:
+                            ready = need
+                            cause = causes[entry[2]]
+                    if wb >= 0:
+                        need = score[dest][1] + 1 - wb
+                        if need > ready:
+                            ready = need
+                            cause = waw
+                    if ready > cycle:
+                        cycle = ready
+                    if cycle > limit:
+                        thread.pc = pc
+                        raise self._timeout(limit, live)
+                    if cause is not None and cycle > base:
+                        wait[cause] += cycle - base
+                    if op is not None:
+                        op(thread)
+                        resolve = resolve_not_taken
+                        issued[pc] += 1
+                        pc += 1
+                    elif test(thread):
+                        resolve = resolve_taken
+                        issued[pc] += 1
+                        pc = target
+                    else:
+                        resolve = resolve_not_taken
+                        issued[pc] += 1
+                        pc += 1
+                    if roff >= 0:
+                        score[dest] = (cycle + roff, cycle + wb, klass)
+                    min_issue = cycle + resolve
+                    if resolve > 1:
+                        wait[control] += resolve - 1
+                    last = cycle
+                    count += 1
+                    cycle += 1
+                    rec = inline[pc]
+                    if rec is None:
+                        break
+            finally:
+                thread.pc = pc
+                thread.min_issue = min_issue
+                thread.last_issue = last
+                thread.instructions_issued += count
+        self._dirty[thread.tid] = True
+        self.stats.instructions += thread.instructions_issued - first
+        return cycle
+
     # -- main loop ------------------------------------------------------------------
 
     def run(self, program: Program | None = None,
@@ -416,7 +547,9 @@ class Processor:
         round — pauses the run cleanly when it returns True; the
         returned result has ``paused=True`` and a later ``run()`` call
         resumes from the same cycle.  Used by
-        :class:`repro.core.debugger.Debugger`.
+        :class:`repro.core.debugger.Debugger`.  ``stats.instructions``
+        is exact whenever ``stop_when`` runs; the other issue counters
+        are folded in when ``run()`` returns or raises.
         """
         if program is not None:
             self.load(program)
@@ -424,7 +557,6 @@ class Processor:
             raise SimulationError("no program loaded")
         cfg = self.cfg
         limit = max_cycles if max_cycles is not None else cfg.max_cycles
-        width = cfg.issue_width
         cycle = self._cycle
         self.paused = False
 
@@ -433,6 +565,7 @@ class Processor:
         scheduler = self.scheduler
         stats = self.stats
         program = self.program
+        threads = self.threads
         runnable = ThreadState.RUNNABLE
         # The fetch model's earliest issue moves with the current cycle
         # and the fault plane may rewrite PCs, so under either every
@@ -440,77 +573,137 @@ class Processor:
         # its cached readiness until an event dirties it; state may
         # have changed while paused, so every context starts dirty.
         volatile = fetch is not None or faults is not None
+        # A lone runnable context issues in bursts, except where a
+        # round has per-cycle work: the fetch model, the fault plane and
+        # stop_when.
+        bursts = not volatile and stop_when is None
         ready_cache = self._ready
         dirty = self._dirty
         dirty[:] = [True] * len(dirty)
         want_ready = scheduler.needs_ready_of
         ready_of: dict[int, int] = {}
 
-        while not self.halted:
-            if stop_when is not None and stop_when(self, cycle):
-                self.paused = True
-                break
-            live = self.threads.live_threads()
-            if not live:
-                break
-            if cycle > limit:
-                raise SimTimeout(
-                    f"exceeded max_cycles={limit}; "
-                    f"live threads at {[t.pc for t in live]}")
-            if faults is not None:
-                faults.begin_cycle(cycle)
-            if fetch is not None:
-                fetch.advance_to(
-                    cycle, [t.tid for t in live if t.state is runnable])
-
-            if want_ready:
-                ready_of = {}
-            candidates: list[ThreadContext] = []
-            next_ready = None
-            for thread in live:
-                if thread.state is not runnable:
-                    continue
-                tid = thread.tid
-                if volatile or dirty[tid]:
-                    ready_cache[tid] = self._readiness(thread, cycle)
-                    dirty[tid] = False
-                rc = ready_cache[tid][0]
-                if want_ready:
-                    ready_of[tid] = rc
-                if rc <= cycle:
-                    candidates.append(thread)
-                elif next_ready is None or rc < next_ready:
-                    next_ready = rc
-
-            if not candidates:
-                if next_ready is None:
-                    joining = [t.tid for t in live
-                               if t.state is ThreadState.JOINING]
-                    raise SimulationError(
-                        f"deadlock: threads {joining} blocked in tjoin "
-                        f"with no runnable thread")
-                skip_to = max(next_ready, scheduler.switch_until, cycle + 1)
-                stats.idle_slots += (skip_to - cycle) * width
-                cycle = skip_to
-                continue
-
-            chosen = scheduler.select(candidates, cycle, ready_of, program)
-            issued = 0
-            for thread in chosen:
-                _, cause, base = ready_cache[thread.tid]
-                if self._issue(thread, cycle, base, cause):
-                    issued += 1
-                if self.halted:
+        try:
+            while not self.halted:
+                if stop_when is not None and stop_when(self, cycle):
+                    self.paused = True
                     break
-            stats.idle_slots += width - issued
-            cycle += 1
+                live = threads.live_threads()
+                if not live:
+                    break
+                if cycle > limit:
+                    raise self._timeout(limit, live)
+                if faults is not None:
+                    faults.begin_cycle(cycle)
+                if fetch is not None:
+                    fetch.advance_to(
+                        cycle, [t.tid for t in live if t.state is runnable])
+
+                if want_ready:
+                    ready_of = {}
+                candidates: list[ThreadContext] = []
+                next_ready = None
+                for thread in live:
+                    if thread.state is not runnable:
+                        continue
+                    tid = thread.tid
+                    if volatile or dirty[tid]:
+                        ready_cache[tid] = self._readiness(thread, cycle)
+                        dirty[tid] = False
+                    rc = ready_cache[tid][0]
+                    if want_ready:
+                        ready_of[tid] = rc
+                    if rc <= cycle:
+                        candidates.append(thread)
+                    elif next_ready is None or rc < next_ready:
+                        next_ready = rc
+
+                if not candidates:
+                    if next_ready is None:
+                        joining = [t.tid for t in live
+                                   if t.state is ThreadState.JOINING]
+                        raise SimulationError(
+                            f"deadlock: threads {joining} blocked in tjoin "
+                            f"with no runnable thread")
+                    cycle = max(next_ready, scheduler.switch_until, cycle + 1)
+                    continue
+
+                # One candidate and no later-ready context: it is the
+                # only runnable one.
+                if (bursts and next_ready is None and len(candidates) == 1
+                        and scheduler.grant_lone(candidates[0].tid, cycle)):
+                    cycle = self._burst(candidates[0], live, cycle, limit)
+                    continue
+                chosen = scheduler.select(candidates, cycle, ready_of,
+                                          program)
+                issued = 0
+                for thread in chosen:
+                    _, cause, base = ready_cache[thread.tid]
+                    if self._issue(thread, cycle, base, cause):
+                        issued += 1
+                    if self.halted:
+                        break
+                stats.instructions += issued
+                cycle += 1
+        finally:
+            self._fold_issues()
 
         self._cycle = cycle
         stats.cycles = cycle - 1
-        stats.issue_slots = stats.cycles * width
+        stats.issue_slots = stats.cycles * cfg.issue_width
+        stats.idle_slots = stats.issue_slots - stats.instructions
         if self.profiler is not None and not self.paused:
             self.profiler.finalize(self)
         return RunResult(stats, self, self.trace, paused=self.paused)
+
+    def _fold_issues(self) -> None:
+        """Set the Stats issue counters from the per-pc issue counts and
+        the contexts' own counts (both cumulative since reset)."""
+        stats = self.stats
+        classes = [0, 0, 0]
+        runits: Counter = Counter()
+        for it, count in zip(self._model.table, self._issued):
+            if count:
+                classes[it.klass] += count
+                if it.runit is not None:
+                    runits[it.runit] += count
+        stats.instructions = sum(classes)
+        (stats.scalar_instructions, stats.parallel_instructions,
+         stats.reduction_instructions) = classes
+        stats.reduction_unit_uses = runits
+        stats.per_thread_issued = Counter(
+            {ctx.tid: ctx.instructions_issued for ctx in self.threads
+             if ctx.instructions_issued})
+
+
+def _inline_records(model: TimingModel, plain: list[PlainOp | None],
+                    branch: list[BranchOp | None],
+                    hooked: bool) -> list[tuple | None]:
+    """Per-pc records for :meth:`Processor._burst`'s inline issue.
+
+    A pc gets one when it has a compiled micro-op, no structural unit,
+    no ``raises`` and successors inside the program, on a machine with
+    no sanitizer, profiler or trace (their hooks live in ``_issue``).
+    The record holds the pc's :class:`~repro.core.timing.InstrTiming`
+    fields in unpacking order, with each source's read offset folded
+    into the lag a producer's result cycle needs, and the RAW cause of
+    each producer class.
+    """
+    n = len(model.table)
+    records: list[tuple | None] = [None] * n
+    if hooked:
+        return records
+    for pc, (it, op, test) in enumerate(zip(model.table, plain, branch)):
+        if op is None and test is None or it.unit >= 0 \
+                or it.raises is not None or pc + 1 >= n \
+                or test is not None and not 0 <= it.target < n:
+            continue
+        records[pc] = (
+            tuple((key, 1 - read_off) for key, read_off in it.srcs),
+            tuple(RAW_CAUSE[p * 3 + it.klass] for p in range(3)),
+            it.klass, it.dest, it.roff, it.wb, op, test, it.target,
+            it.resolve_taken, it.resolve_not_taken)
+    return records
 
 
 def run_program(source_or_program, config: ProcessorConfig | None = None,

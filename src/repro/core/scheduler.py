@@ -87,6 +87,24 @@ class ThreadScheduler:
             return self._select_coarse(candidates, cycle, ready_of)
         return self._select_smt2(candidates, program)
 
+    def grant_lone(self, tid: int, cycle: int) -> bool:
+        """Grant every issue slot from ``cycle`` on to ``tid``, the only
+        runnable thread, as ``select`` does each time it is the only
+        candidate.
+
+        Leaves the rotating pointer and the coarse-grain resident thread
+        where those grants leave them and returns True.  Returns False,
+        changing nothing, when the next round would do something else
+        first: a coarse-grain switch away from another resident thread,
+        or a switch penalty still running at ``cycle``.
+        """
+        if self.cfg.mt_mode is MTMode.COARSE:
+            if cycle < self.switch_until or self._current not in (None, tid):
+                return False
+            self._current = tid
+        self._pointer = tid
+        return True
+
     def _select_coarse(self, candidates: list[ThreadContext], cycle: int,
                        ready_of: dict[int, int]) -> list[ThreadContext]:
         if cycle < self.switch_until:

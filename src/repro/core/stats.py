@@ -70,16 +70,6 @@ class Stats:
     def total_wait_cycles(self) -> int:
         return sum(self.wait_cycles.values())
 
-    def count_issue(self, thread: int, exec_class_value: str) -> None:
-        self.instructions += 1
-        self.per_thread_issued[thread] += 1
-        if exec_class_value == "scalar":
-            self.scalar_instructions += 1
-        elif exec_class_value == "parallel":
-            self.parallel_instructions += 1
-        else:
-            self.reduction_instructions += 1
-
     def fairness(self) -> float:
         """Jain's fairness index over per-thread issue counts (1.0 = fair)."""
         counts = [c for c in self.per_thread_issued.values() if c]

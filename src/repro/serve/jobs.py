@@ -218,6 +218,15 @@ class Job:
     def prepare(self) -> PreparedJob:
         """Assemble and hash this job into its canonical form."""
         cfg = self.config
+        for col, values in self.lmem.items():
+            if not 0 <= col < cfg.lmem_words:
+                raise JobError(
+                    f"job {self.name!r}: lmem column {col} outside local "
+                    f"memory (0..{cfg.lmem_words - 1})")
+            if len(values) > cfg.num_pes:
+                raise JobError(
+                    f"job {self.name!r}: lmem column {col} has "
+                    f"{len(values)} values for {cfg.num_pes} PEs")
         lmem = dict(self.lmem)
         if self.kernel is not None:
             if self.kernel not in ALL_KERNEL_BUILDERS:

@@ -148,31 +148,32 @@ class TestStats:
         s = Stats()
         s.cycles = 10
         s.issue_slots = 10
-        for _ in range(5):
-            s.count_issue(0, "scalar")
+        s.instructions = 5
         assert s.ipc == 0.5
         assert s.utilization == 0.5
 
     def test_class_counters(self):
-        s = Stats()
-        s.count_issue(0, "scalar")
-        s.count_issue(1, "parallel")
-        s.count_issue(2, "reduction")
+        # The processor folds its per-pc issue counts into the class
+        # counters, the reduction-unit uses and the per-thread shares.
+        proc = Processor(ProcessorConfig(num_pes=4, num_threads=2))
+        res = proc.run(assemble(
+            ".text\npaddi p1, p0, 3\nrsum s1, p1\nrmax s2, p1\nhalt\n"))
+        s = res.stats
         assert (s.scalar_instructions, s.parallel_instructions,
-                s.reduction_instructions) == (1, 1, 1)
+                s.reduction_instructions) == (1, 1, 2)
+        assert s.instructions == 4
+        assert s.reduction_unit_uses == {"sum": 1, "maxmin": 1}
+        assert s.per_thread_issued == {0: 4}
+        assert s.idle_slots == s.issue_slots - 4
 
     def test_fairness_perfect(self):
         s = Stats()
-        for t in range(4):
-            for _ in range(10):
-                s.count_issue(t, "scalar")
+        s.per_thread_issued.update({t: 10 for t in range(4)})
         assert s.fairness() == pytest.approx(1.0)
 
     def test_fairness_skewed(self):
         s = Stats()
-        for _ in range(100):
-            s.count_issue(0, "scalar")
-        s.count_issue(1, "scalar")
+        s.per_thread_issued.update({0: 100, 1: 1})
         assert s.fairness() < 0.6
 
     def test_empty_stats(self):

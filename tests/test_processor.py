@@ -1,9 +1,12 @@
 """Cycle-accurate core integration tests: semantics + measured timing."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as hs
 
+from repro.asm.program import Program
 from repro.core import (
     BranchPolicy,
+    DividerKind,
     MTMode,
     MultiplierKind,
     Processor,
@@ -13,6 +16,9 @@ from repro.core import (
     run_program,
 )
 from repro.asm import assemble
+from repro.isa.instruction import Instruction
+from tests.strategies import instructions
+from tests.test_timing_static import mt_programs
 
 
 def single_cfg(**kw):
@@ -473,3 +479,99 @@ class TestCachedReadiness:
         result = proc.run()
         assert 2 not in self._issues(proc)
         assert result.stats.wait_cycles.get("reduction_hazard", 0) == 0
+
+
+class TestBurstMatchesRounds:
+    """A lone runnable context issues in bursts; a ``stop_when`` that
+    never fires turns the bursts off and runs one scheduling round per
+    cycle.  Both must leave identical Stats, architectural state,
+    scheduler state and errors."""
+
+    MACHINES = {
+        "single": dict(mt_mode=MTMode.SINGLE, num_threads=1),
+        "fine": dict(mt_mode=MTMode.FINE, num_threads=16),
+        "coarse": dict(mt_mode=MTMode.COARSE, num_threads=16),
+        "smt2": dict(mt_mode=MTMode.SMT2, num_threads=16),
+    }
+    UNITS = dict(multiplier=MultiplierKind.SEQUENTIAL,
+                 divider=DividerKind.SEQUENTIAL, pipelined_reduction=False)
+
+    @staticmethod
+    def _observe(program, cfg, max_cycles, trace, stop_when):
+        proc = Processor(cfg, trace=trace)
+        proc.load(program)
+        try:
+            proc.run(max_cycles=max_cycles, stop_when=stop_when)
+            error = None
+        except (SimulationError, RuntimeError, ValueError) as exc:
+            error = (type(exc).__name__, str(exc))
+        sched = proc.scheduler
+        return {
+            "error": error,
+            "stats": proc.stats,
+            "threads": [(c.state, c.pc, list(c.sregs)) for c in proc.threads],
+            "pe": (proc.pe.regs.tolist(), proc.pe.flags.tolist(),
+                   proc.pe.lmem.tolist()),
+            "memory": proc.mem.dump(0, proc.mem.words),
+            "scheduler": (sched._pointer, sched._current,
+                          sched.switch_until, sched.switches),
+            "trace": [(r.cycle, r.thread, r.pc, r.fetch_cycle)
+                      for r in proc.trace],
+        }
+
+    def _check(self, program, machine, units, max_cycles, trace):
+        cfg = ProcessorConfig(num_pes=8, word_width=16,
+                              **self.MACHINES[machine],
+                              **(self.UNITS if units else {}))
+        rounds = self._observe(program, cfg, max_cycles, trace,
+                               stop_when=lambda proc, cycle: False)
+        bursts = self._observe(program, cfg, max_cycles, trace,
+                               stop_when=None)
+        assert bursts == rounds
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(body=hs.lists(instructions(), min_size=1, max_size=16),
+           machine=hs.sampled_from(sorted(MACHINES)), units=hs.booleans(),
+           max_cycles=hs.integers(1, 300), trace=hs.booleans())
+    def test_random_instructions(self, body, machine, units, max_cycles,
+                                 trace):
+        program = Program(instructions=body + [Instruction("halt")])
+        self._check(program, machine, units, max_cycles, trace)
+
+    # Stalls in front of inline micro-ops (pcs 3, 7, 10) and in front of
+    # instructions the burst sends through _issue: a store (pc 5) and a
+    # sequential divide waiting on the divider (pc 9).
+    STALLS = """.text
+        li    s1, 5
+        paddi p1, p0, 3
+        rsum  s2, p1
+        add   s3, s2, s1
+        rsum  s4, p1
+        sw    s4, 0(s0)
+        lw    s5, 0(s0)
+        add   s6, s5, s5
+        sdiv  s7, s6, s1
+        sdiv  s9, s1, s1
+        add   s8, s7, s9
+        halt
+    """
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_watchdog_at_every_cycle(self, trace):
+        program = assemble(self.STALLS, word_width=16)
+        cycles = run_program(program, ProcessorConfig(
+            num_pes=8, num_threads=1, mt_mode=MTMode.SINGLE,
+            word_width=16)).stats.cycles
+        for limit in range(1, cycles + 2):
+            self._check(program, "single", False, limit, trace)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(source=mt_programs(), machine=hs.sampled_from(sorted(MACHINES)),
+           units=hs.booleans(),
+           max_cycles=hs.sampled_from([30, 120, 400, 20_000]),
+           trace=hs.booleans())
+    def test_mt_programs(self, source, machine, units, max_cycles, trace):
+        self._check(assemble(source, word_width=16), machine, units,
+                    max_cycles, trace)

@@ -356,6 +356,32 @@ class TestJobParsing:
         job = Job.from_json({"source": DEMO, "max_cycles": value})
         assert job.max_cycles == value
 
+    LMEM_CONFIG = {"num_pes": 16, "num_threads": 2, "lmem_words": 64}
+
+    def test_lmem_column_longer_than_num_pes_rejected(self):
+        job = Job.from_json({"source": DEMO, "config": self.LMEM_CONFIG,
+                             "lmem": {"0": list(range(40))}})
+        with pytest.raises(JobError, match="has 40 values for 16 PEs"):
+            job.prepare()
+
+    @pytest.mark.parametrize("col", ["-1", "64"])
+    def test_lmem_column_outside_local_memory_rejected(self, col):
+        job = Job.from_json({"source": DEMO, "config": self.LMEM_CONFIG,
+                             "lmem": {col: [1]}})
+        with pytest.raises(JobError, match="outside local memory"):
+            job.prepare()
+
+    def test_lmem_checked_before_assembly(self):
+        job = Job.from_json({"source": "not an instruction\n",
+                             "config": self.LMEM_CONFIG, "lmem": {"-1": [1]}})
+        with pytest.raises(JobError, match="outside local memory"):
+            job.prepare()
+
+    def test_full_lmem_column_accepted(self):
+        job = Job.from_json({"source": DEMO, "config": self.LMEM_CONFIG,
+                             "lmem": {"63": list(range(16))}})
+        assert job.prepare().lmem == {63: list(range(16))}
+
     @pytest.mark.parametrize("value", [[], "ab", 3, [["num_pes", 4]]])
     def test_config_must_be_an_object(self, value):
         with pytest.raises(JobError, match="'config' must be an object"):
