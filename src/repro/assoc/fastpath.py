@@ -20,8 +20,12 @@ and statistics:
 * **Spawning programs** run on the cycle core
   (:class:`repro.core.processor.Processor`) itself: with several
   threads in flight the fold has no single block path to follow, and
-  the core's cached-readiness issue loop is already the fast way to
-  replay them.  The result is wrapped as a :class:`FastRunResult`.
+  the core is already the fast way to replay them.  A fast machine
+  has no fetch model, fault plane or ``stop_when``, so the core issues
+  without scheduling rounds under fine-grain issue, and under
+  coarse-grain and SMT2 issue while one context is runnable; coarse
+  and SMT2 run rounds while several are.  The result is wrapped as a
+  :class:`FastRunResult`.
 
 Unsupported in this backend: ``model_fetch`` machines, pipeline traces,
 the race sanitizer, the cycle profiler, and fault injection — all of

@@ -39,6 +39,10 @@ class ThreadScheduler:
         #: policy consults other threads' ready times, so the issue loop
         #: skips building the map for the others.
         self.needs_ready_of = cfg.mt_mode is MTMode.COARSE
+        #: Whether ``select`` grants one ready thread per cycle by
+        #: priority alone (fine-grain and single-context issue), so the
+        #: issue loop may pick by :meth:`fine_orders` without calling it.
+        self.fine_grain = cfg.mt_mode in (MTMode.FINE, MTMode.SINGLE)
         self._rotating = cfg.scheduler is not SchedulerPolicy.FIXED
 
     # -- priority orders -----------------------------------------------------
@@ -86,6 +90,27 @@ class ThreadScheduler:
         if mode is MTMode.COARSE:
             return self._select_coarse(candidates, cycle, ready_of)
         return self._select_smt2(candidates, program)
+
+    def fine_orders(self, contexts: list[ThreadContext]
+                    ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+        """Fine-grain grant priority over ``contexts`` (tid order) as
+        positions into the list: the order ``select`` grants in now,
+        and for each position the order it grants in once that
+        position was granted.  The first ready position of an order is
+        the context ``select`` would choose; report it with
+        :meth:`granted`.
+        """
+        k = len(contexts)
+        if not self._rotating:
+            fixed = tuple(range(k))
+            return fixed, [fixed] * k
+        rings = [tuple(range(i, k)) + tuple(range(i)) for i in range(k)]
+        return rings[self._start(contexts)], rings[1:] + rings[:1]
+
+    def granted(self, tid: int) -> None:
+        """Leave the rotating pointer where fine-grain ``select`` leaves
+        it after granting ``tid``."""
+        self._pointer = tid
 
     def grant_lone(self, tid: int, cycle: int) -> bool:
         """Grant every issue slot from ``cycle`` on to ``tid``, the only

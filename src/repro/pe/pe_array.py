@@ -61,6 +61,9 @@ class PEArray:
         self.fault_mask: np.ndarray | None = None
         self.parity: np.ndarray | None = None
         self._pin_constants()
+        # True until reset() or a write method runs: the storage is still
+        # as allocated, so reset() need not touch (and page in) all of it.
+        self._fresh = True
 
     # -- constants -----------------------------------------------------------
 
@@ -103,6 +106,7 @@ class PEArray:
     def write_reg(self, thread: int, reg: int, values: np.ndarray,
                   mask: np.ndarray) -> None:
         """Masked write: only PEs where ``mask`` is True take the value."""
+        self._fresh = False
         if reg == registers.ZERO_REG:
             return
         mask = self._effective(mask)
@@ -120,6 +124,7 @@ class PEArray:
     def write_flag(self, thread: int, flag: int, values: np.ndarray,
                    mask: np.ndarray) -> None:
         """Masked flag write."""
+        self._fresh = False
         if flag == registers.ALWAYS_FLAG:
             return
         np.copyto(self.flags[thread, flag], values.astype(bool),
@@ -150,6 +155,7 @@ class PEArray:
     def store(self, addresses: np.ndarray, values: np.ndarray,
               mask: np.ndarray) -> None:
         """Per-PE local-memory store (masked)."""
+        self._fresh = False
         mask = self._effective(mask)
         self._check_addresses(addresses, mask, "store")
         pes = np.arange(self.num_pes)[mask]
@@ -160,6 +166,7 @@ class PEArray:
 
     def set_lmem_column(self, word_addr: int, values: np.ndarray) -> None:
         """Write one word per PE at the same local address in every PE."""
+        self._fresh = False
         if not 0 <= word_addr < self.lmem_words:
             raise MemoryFault(f"local address {word_addr} out of range")
         vals = np.asarray(values, dtype=np.int64)
@@ -175,10 +182,19 @@ class PEArray:
         return self.lmem[:, word_addr].copy()
 
     def reset(self) -> None:
-        """Zero all architectural state (between program runs)."""
-        self.regs.fill(0)
-        self.flags.fill(False)
-        self.lmem.fill(0)
+        """Zero all architectural state (between program runs).
+
+        The first reset of an array no write method has touched skips
+        the fill: ``np.zeros`` left it zeroed, and filling would page in
+        every word of a large local memory.  Code that writes ``regs``,
+        ``flags`` or ``lmem`` directly must do so after that reset.
+        """
+        if self._fresh:
+            self._fresh = False
+        else:
+            self.regs.fill(0)
+            self.flags.fill(False)
+            self.lmem.fill(0)
+            self._pin_constants()
         if self.parity is not None:
             self.parity.fill(False)
-        self._pin_constants()

@@ -11,12 +11,14 @@ from repro.core import (
     MultiplierKind,
     Processor,
     ProcessorConfig,
+    SchedulerPolicy,
     SimulationError,
     hazard_distance,
     run_program,
 )
 from repro.asm import assemble
 from repro.isa.instruction import Instruction
+from repro.programs.kernels import reduction_storm
 from tests.strategies import instructions
 from tests.test_timing_static import mt_programs
 
@@ -410,6 +412,91 @@ class TestMachineLifecycle:
         assert r2.scalar(1) == 2
         assert r2.stats.instructions == 2
 
+    # The first program leaves p-registers, flags and local memory
+    # (its own stores and a column written after load(), as --lmem
+    # does) non-zero in two contexts; the second reads all of them.
+    DIRTY = {
+        False: """.text
+            pli   p1, 7
+            pclti f1, p1, 9
+            psw   p1, 5(p0)
+            plw   p2, 3(p0)
+            paddi p3, p2, 1
+            halt
+        """,
+        True: """.text
+            tspawn s1, worker
+            pli   p1, 7
+            pclti f1, p1, 9
+            psw   p1, 5(p0)
+            tjoin s1
+            halt
+        worker:
+            plw   p2, 3(p0)
+            paddi p1, p2, 2
+            pclti f2, p1, 12
+            texit
+        """,
+    }
+    READ = {
+        False: """.text
+            rsum   s1, p1
+            rcount s2, f1
+            plw    p2, 5(p0)
+            rsum   s3, p2
+            plw    p4, 3(p0)
+            rsum   s4, p4
+            halt
+        """,
+        True: """.text
+            tspawn s1, worker
+            rsum   s2, p1
+            rcount s3, f1
+            plw    p2, 5(p0)
+            rsum   s4, p2
+            tjoin  s1
+            halt
+        worker:
+            rsum   s5, p1
+            rcount s6, f2
+            plw    p3, 3(p0)
+            rsum   s7, p3
+            sw     s5, 0(s0)
+            sw     s6, 1(s0)
+            sw     s7, 2(s0)
+            texit
+        """,
+    }
+
+    @staticmethod
+    def _state(machine):
+        return (machine.pe.regs.tolist(), machine.pe.flags.tolist(),
+                machine.pe.lmem.tolist(),
+                machine.mem.dump(0, machine.mem.words),
+                [list(c.sregs) for c in machine.threads])
+
+    @pytest.mark.parametrize("spawning", [False, True])
+    @pytest.mark.parametrize("backend", ["cycle", "fast"])
+    def test_reuse_zeroes_pe_state(self, backend, spawning):
+        from repro.assoc.fastpath import FastMachine
+        factory = Processor if backend == "cycle" else FastMachine
+        cfg = ProcessorConfig(num_pes=8, num_threads=2, word_width=16,
+                              lmem_words=8)
+        dirty = assemble(self.DIRTY[spawning], word_width=16)
+        read = assemble(self.READ[spawning], word_width=16)
+        reused = factory(cfg)
+        reused.load(dirty)
+        reused.pe.set_lmem_column(3, list(range(1, 9)))
+        reused.run()
+        assert reused.pe.regs.any() and reused.pe.lmem.any()
+        fresh = factory(cfg)
+        reused.load(read)
+        fresh.load(read)
+        assert not reused.pe.regs.any() and not reused.pe.lmem.any()
+        assert self._state(reused) == self._state(fresh)
+        assert reused.run().stats == fresh.run().stats
+        assert self._state(reused) == self._state(fresh)
+
     def test_no_program_loaded(self):
         with pytest.raises(SimulationError):
             Processor(single_cfg()).run()
@@ -482,14 +569,19 @@ class TestCachedReadiness:
 
 
 class TestBurstMatchesRounds:
-    """A lone runnable context issues in bursts; a ``stop_when`` that
-    never fires turns the bursts off and runs one scheduling round per
-    cycle.  Both must leave identical Stats, architectural state,
-    scheduler state and errors."""
+    """Without hooks, fine-grain machines and a lone runnable context
+    issue without scheduling rounds (``Processor._stream``); a
+    ``stop_when`` that never fires turns that off and runs one
+    scheduling round per cycle.  Both must leave identical Stats,
+    architectural state, scheduler state and errors."""
 
     MACHINES = {
         "single": dict(mt_mode=MTMode.SINGLE, num_threads=1),
         "fine": dict(mt_mode=MTMode.FINE, num_threads=16),
+        "fine2": dict(mt_mode=MTMode.FINE, num_threads=2),
+        "fine4": dict(mt_mode=MTMode.FINE, num_threads=4),
+        "fine-fixed": dict(mt_mode=MTMode.FINE, num_threads=16,
+                           scheduler=SchedulerPolicy.FIXED),
         "coarse": dict(mt_mode=MTMode.COARSE, num_threads=16),
         "smt2": dict(mt_mode=MTMode.SMT2, num_threads=16),
     }
@@ -575,3 +667,19 @@ class TestBurstMatchesRounds:
     def test_mt_programs(self, source, machine, units, max_cycles, trace):
         self._check(assemble(source, word_width=16), machine, units,
                     max_cycles, trace)
+
+    # Eight workers contend every cycle: tput wakes the spinning
+    # workers, and with the unpipelined reduction network each rmaxu
+    # occupies a unit the other workers' next reductions wait on.
+    @pytest.mark.parametrize("units", [False, True])
+    @pytest.mark.parametrize("machine", ["fine", "fine-fixed"])
+    def test_storm_watchdog_at_every_cycle(self, machine, units):
+        program = assemble(reduction_storm(8, total_iters=16,
+                                           threads=8).source,
+                           word_width=16)
+        cfg = ProcessorConfig(num_pes=8, word_width=16,
+                              **self.MACHINES[machine],
+                              **(self.UNITS if units else {}))
+        cycles = run_program(program, cfg).stats.cycles
+        for limit in range(1, cycles + 2):
+            self._check(program, machine, units, limit, trace=False)
